@@ -396,7 +396,7 @@ func BenchmarkFKMultiTxn(b *testing.B) {
 		b.Run(fmt.Sprintf("shards%d", spread), func(b *testing.B) {
 			k := sim.NewKernel(1)
 			d := core.NewDeployment(k, core.Config{
-				EnableTxn: true, WriteShards: 4, UserStore: core.StoreKV,
+				WriteShards: 4, UserStore: core.StoreKV,
 			})
 			b.ReportAllocs()
 			var virtual time.Duration

@@ -7,14 +7,14 @@
 //	fkcli create /app hello
 //	fkcli create /app/cfg v1 : get /app/cfg : set /app/cfg v2 : get /app/cfg
 //	fkcli -gcp -store hybrid create /x data : ls /
-//	fkcli -txn -shards 4 multi check /a 0 ";" set /a v2 ";" create /b x
+//	fkcli -shards 4 multi check /a 0 ";" set /a v2 ";" create /b x
 //	fkcli -dynamic -shards 2 create /hot x : reshard split /hot 4 : reshard map
 //
 // Commands (separated by ":"): create PATH [DATA] [eph] [seq],
 // get PATH, set PATH DATA, del PATH, ls PATH, stat PATH, watch PATH,
 // multi SUBOP [";" SUBOP]... — sub-ops (separated by ";") are
 // create PATH [DATA] [eph] [seq], set PATH DATA [VERSION],
-// del PATH [VERSION], check PATH [VERSION]; requires -txn.
+// del PATH [VERSION], check PATH [VERSION].
 // reshard map | grow N | shrink N | split PREFIX WAYS | merge PREFIX
 // drives the live shard map; requires -dynamic.
 // trace dumps the per-request span log recorded so far; requires -trace.
@@ -53,7 +53,6 @@ func main() {
 	store := flag.String("store", "object", "user store: object|kv|hybrid|mem")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	shards := flag.Int("shards", 1, "leader write shards (1 = paper-faithful)")
-	txnOn := flag.Bool("txn", false, "enable multi() transactions")
 	dynamic := flag.Bool("dynamic", false, "enable the live shard map (reshard command)")
 	traceFile := flag.String("trace", "", "enable telemetry and write a Chrome trace-event file on exit")
 	metricsFile := flag.String("metrics", "", "enable cost accounting and write a Prometheus-text registry snapshot on exit")
@@ -98,7 +97,6 @@ func main() {
 		GCP:            *gcp,
 		UserStore:      faaskeeper.StoreKind(*store),
 		WriteShards:    *shards,
-		EnableTxn:      *txnOn,
 		DynamicShards:  *dynamic,
 		Telemetry:      *traceFile != "",
 		CostAccounting: *metricsFile != "",

@@ -34,7 +34,6 @@ func main() {
 	deployment := sim.DeployFaaSKeeper(faaskeeper.DeploymentOptions{
 		UserStore:   faaskeeper.StoreKV,
 		WriteShards: 4,
-		EnableTxn:   true,
 	})
 
 	mismatches, reads := 0, 0

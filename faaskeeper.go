@@ -57,15 +57,14 @@ const (
 
 // Client-facing errors.
 var (
-	ErrNodeExists  = core.ErrNodeExists
-	ErrNoNode      = core.ErrNoNode
-	ErrBadVersion  = core.ErrBadVersion
-	ErrNotEmpty    = core.ErrNotEmpty
-	ErrTxnAborted  = core.ErrTxnAborted
-	ErrTxnDisabled = core.ErrTxnDisabled
+	ErrNodeExists = core.ErrNodeExists
+	ErrNoNode     = core.ErrNoNode
+	ErrBadVersion = core.ErrBadVersion
+	ErrNotEmpty   = core.ErrNotEmpty
+	ErrTxnAborted = core.ErrTxnAborted
 )
 
-// Transaction types (Client.Multi; requires DeploymentOptions.EnableTxn).
+// Transaction types (Client.Multi).
 type (
 	// MultiOp is one sub-operation of a transaction.
 	MultiOp = txn.Op
@@ -161,12 +160,12 @@ type DeploymentOptions struct {
 	// Default 1 — the paper-faithful single totally-ordered write path.
 	// See the exp "sharding" experiment for the scaling behavior.
 	WriteShards int
-	// BatchWrites enables the leader's batching distributor: within one
-	// queue batch, user-store writes to the same node fold into the
-	// final state, parents get one child-list read-modify-write per
-	// batch, and cache invalidations coalesce into one record per
-	// touched path. Default false — the paper's per-message
-	// distribution. See the "batching" experiment for the behavior.
+	// BatchWrites sets the leader's flush size to the whole queue batch:
+	// user-store writes to the same node fold into the final state,
+	// parents get one child-list read-modify-write per flush, and node
+	// invalidations coalesce into one record. Default false — a flush of
+	// one message, the paper's per-message distribution. See the
+	// "batching" experiment for the behavior.
 	BatchWrites bool
 	// MaxBatch caps how many queued messages one distributor flush may
 	// fold (0 = the whole invocation batch). Only used with BatchWrites.
@@ -184,14 +183,6 @@ type DeploymentOptions struct {
 	ClientCacheCapacityB int
 	// CacheTTL bounds client-cache staleness (default 5 s).
 	CacheTTL time.Duration
-	// EnableTxn enables ZooKeeper-style multi() transactions: atomic
-	// multi-op commits via Client.Multi, coordinated across sharded
-	// leader pipelines with a two-phase commit where the ops span shards
-	// (single-shard multis take a fast path with no 2PC overhead).
-	// Default false — multi() is rejected and the paper pipeline is
-	// untouched. See the "txn" experiment for commit latency and abort
-	// behavior versus participant-shard count.
-	EnableTxn bool
 	// DynamicShards turns the fixed WriteShards route into a live,
 	// epoch-versioned shard map that can be resharded at runtime —
 	// Deployment.GrowShards/ShrinkShards move consistent-hash slots,
@@ -275,7 +266,6 @@ func (s *Simulation) DeployFaaSKeeper(opts DeploymentOptions) *Deployment {
 		CacheCapacityB:       opts.CacheCapacityB,
 		ClientCacheCapacityB: opts.ClientCacheCapacityB,
 		CacheTTL:             opts.CacheTTL,
-		EnableTxn:            opts.EnableTxn,
 		DynamicShards:        opts.DynamicShards,
 		AutoShard:            opts.AutoShard,
 		CacheWarmK:           opts.CacheWarmK,

@@ -64,7 +64,6 @@ func DeployConfig(name string) (core.Config, bool) {
 	base := core.Config{
 		Retries:        30,
 		HeartbeatEvery: 2 * time.Second,
-		EnableTxn:      true,
 	}
 	switch name {
 	case "plain":
@@ -132,7 +131,7 @@ func isDefinite(err error) bool {
 	for _, e := range []error{
 		core.ErrNoNode, core.ErrNodeExists, core.ErrBadVersion,
 		core.ErrNotEmpty, core.ErrNoChildrenEph, core.ErrTooLarge,
-		core.ErrTxnAborted, core.ErrTxnDisabled, core.ErrSessionClosed,
+		core.ErrTxnAborted, core.ErrSessionClosed,
 		znode.ErrBadPath,
 	} {
 		if errors.Is(err, e) {

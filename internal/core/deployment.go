@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"faaskeeper/internal/cache"
@@ -92,39 +93,22 @@ type Config struct {
 	// merges an idle split back.
 	AutoShard AutoShard
 
-	// BatchWrites enables the leader's batching distributor: the handler
-	// splits into a per-message commit phase (Algorithm 2's verification,
-	// watch claiming, and transaction pop, unchanged per operation) and a
-	// batch-level distributor that writes only the final folded state of
-	// each touched node to the user stores, performs one parent child-list
-	// read-modify-write per parent per batch, and publishes one coalesced
-	// cache-invalidation record per touched path. Every per-operation
-	// invariant is preserved: each client still receives its own Stat with
-	// its own txid, watch payloads carry the firing operation's txid, and
-	// epoch entries precede readability of the batch's writes (Z4).
-	// Default false — the paper's one-write-per-message distribution,
-	// byte-identical to the golden trace.
+	// BatchWrites sets the leader's flush size (distributor.go) to the
+	// whole invocation batch. Every message runs through the same
+	// pipeline: a per-message commit phase, then a flush that writes only
+	// the final folded state of each touched node to the user stores,
+	// performs one parent child-list read-modify-write per parent, and
+	// completes each operation in queue order — each client still
+	// receives its own Stat with its own txid, watch payloads carry the
+	// firing operation's txid, and epoch entries precede readability of
+	// the flush's writes (Z4). Default false: a flush of one message,
+	// the paper's Algorithm 2 operation for operation (golden trace).
 	BatchWrites bool
 
-	// MaxBatch caps how many queued messages one distributor flush may
-	// fold (0 = the whole invocation batch, itself bounded by the queue
-	// technology's receive limit). Only meaningful with BatchWrites.
+	// MaxBatch caps how many queued messages one flush may fold (0 = the
+	// whole invocation batch, itself bounded by the queue technology's
+	// receive limit). Only meaningful with BatchWrites.
 	MaxBatch int
-
-	// EnableTxn enables ZooKeeper-style multi() transactions (package
-	// txn): single-shard multis take a fast path through the leader
-	// commit phase (one leader message, one multi-item system-store
-	// transaction), and multis spanning shards run a two-phase commit
-	// across the per-shard leader pipelines — prepare places intent locks
-	// on the touched node items and votes through a storage-backed
-	// barrier, a durable transaction record makes the decision
-	// recoverable by queue redelivery, and the commit applies every
-	// user-store write of the transaction in one atomic batch where the
-	// backend supports it. Default false — multi() is rejected and no
-	// transaction state ever touches the paper-faithful pipeline (the
-	// golden trace stays byte-identical even with EnableTxn on, as long
-	// as no multi() is issued).
-	EnableTxn bool
 
 	// CacheMode enables the read-path cache tier (package cache): a
 	// shared regional cache node fronting each region's user store,
@@ -383,8 +367,8 @@ type Deployment struct {
 	Stores []UserStore // [0] is the home-region primary
 
 	// Txns manages the durable transaction records of multi()
-	// coordinators (package txn). Always non-nil; unused — and therefore
-	// costless — unless Cfg.EnableTxn.
+	// coordinators (package txn). Always non-nil; untouched — and
+	// therefore costless — until a multi() is issued.
 	Txns *txn.Store
 
 	// Obs is the telemetry hub: the request tracer and the component
@@ -767,6 +751,21 @@ func (d *Deployment) RegisterWatch(ctx cloud.Ctx, path string, wt WatchType, ses
 		return 0, err
 	}
 	return WatchID(path, wt), nil
+}
+
+// WatchArmed reports whether session's one-shot registration of (path,
+// wt) is still unclaimed: a strongly consistent read finds the session in
+// the watch item, so no leader has fired this registration yet. A client
+// holding a node version stamped with the watch id then knows the stamp
+// belongs to an earlier, already delivered registration. Always false on
+// a fan-out deployment, whose registrations live on the regional nodes.
+// wt must be a one-shot type (data, exists or child).
+func (d *Deployment) WatchArmed(ctx cloud.Ctx, path string, wt WatchType, session string) bool {
+	if d.fanoutOn() {
+		return false
+	}
+	it, ok := d.System.GetView(ctx, watchKey(path), true)
+	return ok && slices.Contains(it[watchAttr(wt)].SL, session)
 }
 
 func watchAttr(wt WatchType) string {

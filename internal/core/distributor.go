@@ -1,34 +1,46 @@
 package core
 
-// The batching distributor (Config.BatchWrites) restructures the leader's
-// update loop around batch-scoped state. Algorithm 2 stays intact per
-// message — commit verification (➊/➋), watch claiming, and the pending
-// pop (➎) run operation by operation so pipelined transactions on one
-// node still see the correct pending heads — but the distribution (➌)
-// moves to the batch level: within one queue batch, writes to the same
-// node fold into the final state (one user-store write per region,
-// stamped with the batch's epoch union and the path's newest txid),
-// creates and deletes coalesce into one parent child-list
-// read-modify-write per parent per batch, and the regional caches
-// receive one multi-path invalidation record instead of one per message.
+// The leader pipeline (Algorithm 2) runs every queued message through one
+// loop. A per-message commit phase verifies the commit (➊/➋) and folds
+// the operation's effect; a flush then distributes the folded state to
+// the user stores (➌) and completes each operation in queue order: it
+// launches the watch deliveries (➍), notifies the client, and pops the
+// pending entry (➎). A flush holds one message unless Config.BatchWrites
+// is set, and a flush of one issues exactly the paper's per-message
+// operation order. Three rules, each derived from the flush's contents,
+// make it so:
 //
-// Every per-operation guarantee survives the restructuring:
+//   - Pending pop. An operation's pending entry pops right after its
+//     client notification — unless a later message of the same flush
+//     targets the same path: that message's commit check needs the head,
+//     so the pop moves into the commit phase.
+//   - Watch claim. A flush of one on a single-shard deployment claims
+//     watches after distribution and enters each id into the epoch
+//     counters right before launching its delivery. Every other flush
+//     claims in the commit phase, before any of its values become
+//     readable: a larger flush makes several values readable at once, and
+//     on several shards a write on another shard may causally follow the
+//     read (Z4).
+//   - Invalidation. Each path's cache invalidation publishes right before
+//     that path's own store write lands: node writes behind one coalesced
+//     record, parent child-list rewrites inside their read-modify-write.
+//
+// A larger flush (BatchWrites) folds writes to the same node into its
+// final state — one user-store write per region, stamped with the flush's
+// epoch union and the path's newest txid — and coalesces creates and
+// deletes into one parent child-list read-modify-write per parent. Every
+// per-operation guarantee survives the fold:
 //
 //   - Each client receives its own Stat carrying its own txid/mzxid,
-//     computed during that message's commit phase before later writes
+//     captured during that message's commit phase before later writes
 //     fold over it (no final-stat leakage).
-//   - Watch ids enter the epoch counters during the commit phase, before
-//     any of the batch's values become readable, so reads of the new
-//     state always hold for undelivered notifications (Z4) — the same
-//     pre-fire ordering the multi-shard pipeline uses. Deliveries launch
-//     after the flush, each payload carrying its own operation's txid.
+//   - Watch payloads carry the firing operation's txid.
 //   - Client notifications go out only after the flush: a response in
-//     hand implies the write is readable (read-your-writes), exactly as
-//     in the per-message path, and deregistration acks still order
-//     behind every ephemeral deletion's distribution.
-//   - Invalidations publish before any of the batch's writes land, so a
-//     racing read of a pre-batch value can never re-fill a cache above
-//     the overwrite (the cache tier's standing ordering argument).
+//     hand implies the write is readable (read-your-writes), and
+//     deregistration acks still order behind every ephemeral deletion's
+//     distribution.
+//   - A racing read of a path's old value can never re-fill a cache above
+//     the overwrite: the invalidation rule is per path.
 
 import (
 	"slices"
@@ -43,15 +55,16 @@ import (
 )
 
 // opResult is one message's buffered commit-phase outcome, completed
-// (notify, watch launch, dereg ack) after the batch flush.
+// (watch launch, notify, pending pop, dereg ack) after the flush.
 type opResult struct {
-	msg   leaderMsg
-	txid  int64
-	code  Code
-	stat  znode.Stat
-	fired []firedWatch
-	dereg bool
-	drop  bool // stranded by a reshard: the follower owns the retry, stay silent
+	msg    leaderMsg
+	txid   int64
+	code   Code
+	stat   znode.Stat
+	fired  []firedWatch
+	dereg  bool
+	drop   bool // stranded by a reshard: the follower owns the retry, stay silent
+	popped bool // pending entry already popped in the commit phase
 }
 
 // nodeFold is the final folded user-store state of one touched node.
@@ -61,7 +74,7 @@ type nodeFold struct {
 	txid int64 // newest txid folded into this path (invalidation floor)
 }
 
-// parentFold coalesces a batch's child-list splices on one parent.
+// parentFold coalesces a flush's child-list splices on one parent.
 type parentFold struct {
 	present  map[string]bool // child name -> final presence, in op order
 	names    []string        // first-touch order, for deterministic splicing
@@ -70,19 +83,25 @@ type parentFold struct {
 	consumed bool            // merged into a node write or the shared root
 }
 
-// batchFold accumulates the net effect of one queue batch on the user
-// stores. Operations fold in txid order (the queue batch's order), so
-// "last write wins" per node and the child presence map reflects the
-// final create/delete outcome even for create→delete→create chains.
+// batchFold accumulates the net effect of one flush on the user stores.
+// Operations fold in txid order (the queue batch's order), so "last write
+// wins" per node and the child presence map reflects the final
+// create/delete outcome even for create→delete→create chains.
 type batchFold struct {
 	order       []string // node paths in first-touch order
 	nodes       map[string]*nodeFold
 	parentOrder []string
 	parents     map[string]*parentFold
+
+	// owner is the flush's single message when the flush holds one: its
+	// regional legs then attach to that request's trace and bill, like
+	// Algorithm 2's per-message legs. Nil for a fold serving many requests
+	// (or a transaction): the legs go on the shared pipeline track.
+	owner *leaderMsg
 }
 
 // batchFoldPool recycles the per-flush fold's maps and slices: every
-// queue batch allocates one, and the bucket arrays dominate its cost.
+// flush allocates one, and the bucket arrays dominate its cost.
 var batchFoldPool = sync.Pool{New: func() any {
 	return &batchFold{nodes: map[string]*nodeFold{}, parents: map[string]*parentFold{}}
 }}
@@ -99,31 +118,20 @@ func (f *batchFold) release() {
 	clear(f.parents)
 	f.order = f.order[:0]
 	f.parentOrder = f.parentOrder[:0]
+	f.owner = nil
 	batchFoldPool.Put(f)
 }
 
+// empty reports whether the fold has nothing to distribute.
+func (f *batchFold) empty() bool { return len(f.order) == 0 && len(f.parentOrder) == 0 }
+
 // invSlicePool recycles the per-region invalidation record assembled on
-// every batch flush; InvalidateBatch does not retain the slice (apply
-// copies the epoch stamp it keeps).
+// every flush; InvalidateBatch does not retain the slice (apply copies the
+// epoch stamp it keeps).
 var invSlicePool = sync.Pool{New: func() any { return new([]cache.Invalidation) }}
 
-// parentFoldPool recycles the scratch fold the per-message pipeline's
-// parent read-modify-write builds for every create/delete (spliceInto
-// does not retain it). Folds owned by a batchFold are NOT pooled — they
-// are dropped wholesale by batchFold.release.
-var parentFoldPool = sync.Pool{New: func() any { return &parentFold{present: map[string]bool{}} }}
-
-func newParentFold() *parentFold { return parentFoldPool.Get().(*parentFold) }
-
-func (pf *parentFold) release() {
-	clear(pf.present)
-	pf.names = pf.names[:0]
-	pf.cversion, pf.pzxid, pf.consumed = 0, 0, false
-	parentFoldPool.Put(pf)
-}
-
 // foldWrite records path's newest object; an earlier write or tombstone
-// of the same path in this batch is superseded.
+// of the same path in this flush is superseded.
 func (f *batchFold) foldWrite(path string, n *znode.Node, txid int64) {
 	nf, ok := f.nodes[path]
 	if !ok {
@@ -134,7 +142,7 @@ func (f *batchFold) foldWrite(path string, n *znode.Node, txid int64) {
 	nf.node, nf.del, nf.txid = n, false, txid
 }
 
-// foldDelete records that path's final state in this batch is deleted.
+// foldDelete records that path's final state in this flush is deleted.
 func (f *batchFold) foldDelete(path string, txid int64) {
 	nf, ok := f.nodes[path]
 	if !ok {
@@ -175,8 +183,11 @@ func (f *batchFold) foldParent(parent, childAdd, childDel string, cversion int32
 }
 
 // spliceInto applies a parent fold to a node object: the final child
-// presences (idempotently — the object may already reflect some of them)
-// and the raised stamps, mirroring applyParentRMW's only-raise rule.
+// presences, applied idempotently (a shared object's child list may have
+// been refreshed from the system store while the splice was queued), and
+// only-raised stamps (within a shard they are monotone anyway, and on a
+// shared path two shards may apply their splices out of global txid
+// order).
 func spliceInto(n *znode.Node, pf *parentFold) {
 	for _, name := range pf.names {
 		if pf.present[name] {
@@ -196,23 +207,22 @@ func spliceInto(n *znode.Node, pf *parentFold) {
 	n.Stat.NumChildren = int32(len(n.Children))
 }
 
-// leaderProcessBatched is the BatchWrites pipeline: commit each message,
-// fold its effect, flush the fold, then complete the buffered operations
-// in order. MaxBatch > 0 chunks one invocation batch into several flushes.
-func (d *Deployment) leaderProcessBatched(ctx cloud.Ctx, msgs []decodedMsg, epochs map[cloud.Region][]int64) []watchCompletion {
+// leaderProcess runs one invocation's messages through the pipeline.
+// Transaction messages and reshard fences are fold barriers; every run of
+// messages between them flushes in chunks of the flush size.
+func (d *Deployment) leaderProcess(ctx cloud.Ctx, msgs []decodedMsg, epochs map[cloud.Region][]int64) []watchCompletion {
 	// Tombstone-GC lookahead: a delete followed in the same invocation by
 	// another operation on the same path (create→delete→create) must not
 	// collect the node item — the later operation's follower commit may
 	// not have appended to the pending list yet, and collecting the item
-	// would strand that commit. The per-message pipeline closes the same
-	// window with its distribution latency; the batch knows outright.
+	// would strand that commit.
 	later := map[string]int{}
 	for _, dm := range msgs {
 		switch dm.msg.Op {
 		case OpDeregister, OpReshardFence:
 		case OpMulti, OpTxnCommit:
 			// Transaction targets count toward the lookahead too, so a
-			// batched delete before them never collects a tombstone the
+			// delete before them never collects a tombstone the
 			// transaction's commit still needs. The transaction itself
 			// never decrements — at worst a tombstone lingers until the
 			// next delete's collection, the lock-guard precedent.
@@ -225,53 +235,74 @@ func (d *Deployment) leaderProcessBatched(ctx cloud.Ctx, msgs []decodedMsg, epoc
 			later[dm.msg.Path]++
 		}
 	}
+	// The flush size: one message — Algorithm 2 — unless BatchWrites
+	// folds the whole invocation, capped by MaxBatch.
+	size := 1
+	if d.Cfg.BatchWrites {
+		size = len(msgs)
+		if d.Cfg.MaxBatch > 0 {
+			size = d.Cfg.MaxBatch
+		}
+	}
 	var completions []watchCompletion
 	var run []decodedMsg
 	flushRun := func() {
-		if len(run) == 0 {
-			return
-		}
-		chunk := d.Cfg.MaxBatch
-		if chunk <= 0 || chunk > len(run) {
-			chunk = len(run)
-		}
-		for start := 0; start < len(run); start += chunk {
-			end := min(start+chunk, len(run))
+		for start := 0; start < len(run); start += size {
+			end := min(start+size, len(run))
 			completions = append(completions, d.flushBatch(ctx, run[start:end], later, epochs)...)
 		}
 		run = nil
 	}
 	for _, dm := range msgs {
-		// Transaction messages are fold barriers: their distribution has
-		// its own atomicity protocol, so the accumulated run flushes
-		// first and the message runs through the per-message pipeline.
-		if dm.msg.Op == OpMulti || dm.msg.Op == OpTxnCommit {
+		switch dm.msg.Op {
+		case OpMulti, OpTxnCommit:
+			// Transaction distribution has its own atomicity protocol
+			// (txnops.go): the accumulated run flushes first.
 			flushRun()
-			completions = append(completions, d.leaderProcess(d.billMsg(ctx, dm.msg), dm.msg, dm.txid, epochs)...)
-			continue
-		}
-		// A reshard fence is a fold barrier too: the ack promises every
-		// earlier message has been distributed, so the run must flush
-		// before it is written.
-		if dm.msg.Op == OpReshardFence {
+			t0 := d.K.Now()
+			completions = append(completions, d.leaderProcessTxn(d.billMsg(ctx, dm.msg), dm.msg, dm.txid, epochs)...)
+			d.recordPhase("leader.total", d.K.Now()-t0)
+		case OpReshardFence:
+			// The ack promises every earlier message of this serialized
+			// queue has been distributed: release the reshard coordinator
+			// only after the run flushes.
 			flushRun()
 			d.ackFence(d.billSys(ctx, dm.msg.Shard), dm.msg)
-			continue
+		default:
+			run = append(run, dm)
 		}
-		run = append(run, dm)
 	}
 	flushRun()
 	return completions
 }
 
-// flushBatch runs the commit phase over one chunk, distributes the folded
+// leaderProcessTxn dispatches a transaction message: a single-shard
+// multi() (the fast path's leader commit phase) or one shard's share of a
+// cross-shard transaction commit.
+func (d *Deployment) leaderProcessTxn(ctx cloud.Ctx, msg leaderMsg, txid int64, epochs map[cloud.Region][]int64) []watchCompletion {
+	tm, err := decodeTxnMsgWith(d.Cfg.codec, msg.NodeBlob)
+	if err != nil {
+		return nil
+	}
+	if msg.Op == OpMulti {
+		return d.leaderProcessMulti(ctx, msg, tm, txid, epochs)
+	}
+	return d.leaderTxnCommit(ctx, msg, tm, txid, epochs)
+}
+
+// flushBatch runs the commit phase over one flush, distributes the folded
 // state, and completes every buffered operation in queue order.
 func (d *Deployment) flushBatch(ctx cloud.Ctx, msgs []decodedMsg, later map[string]int, epochs map[cloud.Region][]int64) []watchCompletion {
 	tBatch := d.K.Now()
 	fold := newBatchFold()
-	// The batch-level distribution serves the whole chunk at once: its
-	// charges amortize across the chunk's traces (untraced members keep
-	// their share in the system bucket). Commit phases stay per-message.
+	if len(msgs) == 1 {
+		fold.owner = &msgs[0].msg
+	}
+	// The watch-claim rule (see the top of this file).
+	preClaim := len(msgs) > 1 || d.NumShards() > 1
+	// The distribution serves the whole flush at once: its charges
+	// amortize across the flush's traces (untraced members keep their
+	// share in the system bucket). Commit phases stay per-message.
 	dctx := ctx
 	if d.costOn() {
 		traces := make([]int64, 0, len(msgs))
@@ -281,23 +312,31 @@ func (d *Deployment) flushBatch(ctx cloud.Ctx, msgs []decodedMsg, later map[stri
 		dctx = d.billFold(ctx, traces, msgs[0].msg.Shard, "")
 	}
 	results := make([]opResult, 0, len(msgs))
-	for _, dm := range msgs {
-		t0 := d.K.Now()
-		results = append(results, d.commitOne(d.billMsg(ctx, dm.msg), dm, fold, later, epochs))
-		d.recordPhase("leader.commit", d.K.Now()-t0)
+	for i, dm := range msgs {
+		popNow := false
+		if dm.msg.Op != OpDeregister {
+			for _, next := range msgs[i+1:] {
+				if next.msg.Op != OpDeregister && next.msg.Path == dm.msg.Path {
+					popNow = true
+					break
+				}
+			}
+		}
+		results = append(results, d.commitOne(d.billMsg(ctx, dm.msg), dm, fold, later, epochs, preClaim, popNow))
 	}
 
 	// Every committed message's chain enters the flush stage together: the
-	// batch-level distribution serves all of them at once (its region legs
-	// are recorded as trace-0 pipeline spans inside distributeFold).
+	// distribution serves all of them at once.
 	for _, r := range results {
 		if !r.drop && !r.dereg && r.code == CodeOK {
 			d.stageMsg(r.msg, obs.StageFlush)
 		}
 	}
-	t0 := d.K.Now()
-	d.distributeFold(dctx, fold, epochs, false)
-	d.recordPhase("leader.update", d.K.Now()-t0)
+	if !fold.empty() {
+		t0 := d.K.Now()
+		d.distributeFold(dctx, fold, epochs, false)
+		d.recordPhase("leader.update", d.K.Now()-t0)
+	}
 	fold.release()
 
 	var completions []watchCompletion
@@ -305,63 +344,84 @@ func (d *Deployment) flushBatch(ctx cloud.Ctx, msgs []decodedMsg, later map[stri
 		if r.drop {
 			continue
 		}
+		mctx := d.billMsg(ctx, r.msg)
 		if r.dereg {
 			// Processed only after the flush: the ack's shard-FIFO position
 			// put it behind the session's ephemeral deletions, and the
 			// flush just distributed them.
-			if d.deregAckComplete(d.billMsg(ctx, r.msg), r.msg) {
+			if d.deregAckComplete(mctx, r.msg) {
 				d.notifyResult(r.msg, r.txid, CodeOK, znode.Stat{})
 			}
 			continue
 		}
-		if d.fanoutOn() && r.code == CodeOK {
-			// The batch's writes are readable: release this operation's
-			// parked firings at the fan-out nodes.
-			d.fanoutRelease(ctx, r.txid)
+		if r.code != CodeOK {
+			d.notifyResult(r.msg, r.txid, r.code, r.stat)
+			continue
+		}
+		if d.fanoutOn() {
+			// The write is readable: release this operation's parked
+			// firings at the fan-out nodes.
+			d.fanoutRelease(mctx, r.txid)
+		} else if !preClaim {
+			t0 := d.K.Now()
+			r.fired = d.queryWatches(mctx, r.msg)
+			d.recordPhase("leader.watchquery", d.K.Now()-t0)
 		}
 		for _, fw := range r.fired {
+			if !preClaim {
+				// The paper's interleaving: enter each id into the epoch
+				// counters right before launching its delivery.
+				d.appendEpochs(mctx, []firedWatch{fw}, r.msg.Shard, epochs)
+			}
 			payload := watchPayload{
 				WatchID: fw.wid, Event: fw.event, Path: fw.path, Txid: r.txid, Sessions: fw.sessions,
 			}
 			sp := d.tspan(d.msgTrace(r.msg), obs.SpanWatchDeliver, fw.path, r.msg.Shard, "")
+			// The delivery's whole cost — invocation, fan-out pushes, the
+			// watch sandbox's GB-s — rides the propagated sink into this span.
 			wctx := d.billSpan(ctx, costMsgTrace(r.msg), sp, r.msg.Shard, "")
 			fut := d.Platform.InvokeAsync(wctx, FnWatch, d.encodeWatchOwned(payload))
 			completions = append(completions, watchCompletion{wid: fw.wid, fut: fut, span: sp})
 		}
 		tn := d.K.Now()
-		d.notifyResult(r.msg, r.txid, r.code, r.stat)
+		d.notifyResult(r.msg, r.txid, CodeOK, r.stat)
 		d.recordPhase("leader.notify", d.K.Now()-tn)
+		if !r.popped {
+			d.popPending(mctx, r.msg, r.txid, later[r.msg.Path] == 0)
+		}
 	}
-	// One total per flush, the container of every sub-phase above (the
-	// per-message pipeline records one total per message instead; the
-	// batched commit spans are sampled separately as leader.commit).
 	d.recordPhase("leader.total", d.K.Now()-tBatch)
 	return completions
 }
 
-// commitOne is the per-message commit phase: Algorithm 2 minus the
-// distribution. It verifies the commit, claims watches and enters their
-// ids into the epoch counters (pre-distribution, the multi-shard
-// pre-fire ordering), folds the operation's effect, and pops the pending
-// transaction so the next operation on the same node sees the correct
-// head. The Stat is captured here, from this operation's own txid and
-// version, before any later operation folds over the node.
-func (d *Deployment) commitOne(ctx cloud.Ctx, dm decodedMsg, fold *batchFold, later map[string]int, epochs map[cloud.Region][]int64) opResult {
+// commitOne is the per-message commit phase: it verifies the commit,
+// claims watches when the flush claims before distribution (preClaim),
+// and folds the operation's effect. popNow pops the pending entry here,
+// for a later message of the same flush on the same path. The Stat is
+// captured from this operation's own txid and version, before any later
+// operation folds over the node.
+func (d *Deployment) commitOne(ctx cloud.Ctx, dm decodedMsg, fold *batchFold, later map[string]int, epochs map[cloud.Region][]int64, preClaim, popNow bool) opResult {
 	msg, txid := dm.msg, dm.txid
 	if msg.Op == OpDeregister {
 		return opResult{msg: msg, txid: txid, dereg: true}
 	}
 	later[msg.Path]--
+	// ➊ Fetch the node's control record and verify our transaction is the
+	// head of its pending list (➋ trying to commit on behalf of a crashed
+	// follower when it is not).
 	d.stageMsg(msg, obs.StageCommit)
 	t0 := d.K.Now()
 	node, committed := d.awaitCommit(ctx, msg, txid)
 	d.recordPhase("leader.get", d.K.Now()-t0)
 	if !committed {
 		if d.staleDynMsg(ctx, msg, dynGen(msg)) {
-			// Same ownership resolution as the per-message pipeline: a
-			// crashed follower's fenced message has no retry owner, so if
-			// its orphaned locks are still in place the leader reclaims
-			// them and answers instead of staying silent.
+			// Stranded by a reshard. A live follower saw its commit fail
+			// the generation guard and owns the re-route — answering here
+			// would race the retry's response. But a follower that died
+			// between push and commit never retries (the push marked the
+			// request processed, so queue redelivery dedups it away); its
+			// tell is the message's own lock timestamps still on the node.
+			// Reclaiming those locks decides the race exactly once.
 			if d.reclaimFencedMsg(ctx, msg) {
 				return opResult{msg: msg, txid: txid, code: CodeSystemError}
 			}
@@ -370,17 +430,21 @@ func (d *Deployment) commitOne(ctx cloud.Ctx, dm decodedMsg, fold *batchFold, la
 		return opResult{msg: msg, txid: txid, code: CodeSystemError}
 	}
 
-	t0 = d.K.Now()
 	var fired []firedWatch
-	if d.fanoutOn() {
-		// One record per (path, txid) to the fan-out nodes; released
-		// after the batch's distribution (see flushBatch).
-		d.fanoutPublish(ctx, msg, txid, epochs)
-	} else {
-		fired = d.queryWatches(ctx, msg)
-		d.appendEpochs(ctx, fired, msg.Shard, epochs)
+	if d.fanoutOn() || preClaim {
+		t0 = d.K.Now()
+		if d.fanoutOn() {
+			// Fan-out tier: one notification record per (path, txid) to the
+			// regional nodes, published before distribution so the epoch
+			// stamps land in the value writes (Z4); released after the
+			// flush. The node owns delivery.
+			d.fanoutPublish(ctx, msg, txid, epochs)
+		} else {
+			fired = d.queryWatches(ctx, msg)
+			d.appendEpochs(ctx, fired, msg.Shard, epochs)
+		}
+		d.recordPhase("leader.watchquery", d.K.Now()-t0)
 	}
-	d.recordPhase("leader.watchquery", d.K.Now()-t0)
 
 	var stat znode.Stat
 	switch {
@@ -399,27 +463,50 @@ func (d *Deployment) commitOne(ctx cloud.Ctx, dm decodedMsg, fold *batchFold, la
 		}
 	}
 
-	d.popPending(ctx, msg, txid, later[msg.Path] == 0)
-	return opResult{msg: msg, txid: txid, code: CodeOK, stat: stat, fired: fired}
+	if popNow {
+		// The later message on this path is in the same flush, so the
+		// tombstone must survive: no collection here.
+		d.popPending(ctx, msg, txid, false)
+	}
+	return opResult{msg: msg, txid: txid, code: CodeOK, stat: stat, fired: fired, popped: popNow}
 }
 
-// distributeFold is the batch-level ➌: one coalesced invalidation record,
-// the final state of every touched node, and one read-modify-write per
-// parent, per region in parallel. atomicApply is the transaction commit
-// point (package txn): node writes go through the store's AtomicApplier
-// when it has one, becoming readable at a single instant; stores without
+// foldLeg returns the context one regional leg of a fold bills to, and
+// opens the leg's child span when name is set. With an owner (a flush of
+// one) both attach to that request, exactly like Algorithm 2's
+// per-message legs; otherwise the span goes on the shared pipeline track
+// (trace 0) and charges amortize through ctx's fold bill.
+func (d *Deployment) foldLeg(ctx cloud.Ctx, owner *leaderMsg, name, region string) (cloud.Ctx, int64) {
+	var sp int64
+	if owner == nil {
+		if name != "" {
+			sp = d.tspan(0, name, "", -1, region)
+		}
+		return ctx, sp
+	}
+	if name != "" {
+		sp = d.tspan(d.msgTrace(*owner), name, owner.Path, owner.Shard, region)
+	}
+	return d.billSpan(ctx, costMsgTrace(*owner), sp, owner.Shard, region), sp
+}
+
+// distributeFold is ➌: the final state of every touched node behind one
+// coalesced invalidation record, then one read-modify-write per parent,
+// per region in parallel. atomicApply is the transaction commit point
+// (package txn): node writes go through the store's AtomicApplier when it
+// has one, becoming readable at a single instant; stores without
 // multi-key transactions (the object store) fall back to writing in fold
 // order, so readers observe a prefix of the transaction, never an
 // arbitrary mix.
 func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, epochs map[cloud.Region][]int64, atomicApply bool) {
-	if len(fold.order) == 0 && len(fold.parentOrder) == 0 {
+	if fold.empty() {
 		return
 	}
 
 	// Merge child-list splices into node objects rewritten in the same
-	// batch: a per-parent RMW would read the store's pre-batch object and
+	// fold: a per-parent RMW would read the store's pre-fold object and
 	// either the splice or the data write would be lost. A parent deleted
-	// in this batch drops its splices (its child list is moot). Shared
+	// in this fold drops its splices (its child list is moot). Shared
 	// parents — the root of a sharded deployment, a split subtree's root
 	// — are peeled off instead: their RMW must run under the cross-shard
 	// lock.
@@ -449,35 +536,36 @@ func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, epochs map[c
 
 	// Cross-shard shared-path work — a data write to a shared object or a
 	// create/delete splice under it — is serialized under the path's
-	// shared lock, held once across the whole flush (the unbatched path
-	// holds it across the corresponding per-op distribution for the same
-	// reason: an interleaved RMW from another shard would lose children).
-	// Locks are taken in sorted path order: two flushes on different
-	// shards touching the same shared paths then never deadlock.
-	lockSet := map[string]bool{}
-	for _, p := range sharedOrder {
-		lockSet[p] = true
+	// shared lock (an interleaved RMW from another shard would lose
+	// children). Every flush takes its locks in sorted path order while
+	// holding none, so two flushes on different shards never deadlock: a
+	// fold that rewrites a shared object takes them all before its
+	// regional writes (the rewrite refreshes the child list under the
+	// lock); one that only splices shared parents takes them after, right
+	// before the splices.
+	var held []fksync.Lock
+	defer func() {
+		for i := len(held) - 1; i >= 0; i-- {
+			_ = d.Locks.Release(ctx, held[i])
+		}
+	}()
+	lockSorted := func(paths []string) {
+		slices.Sort(paths)
+		for _, p := range slices.Compact(paths) {
+			held = append(held, d.acquireSharedLock(ctx, p))
+		}
 	}
+	var rewritten []string
 	for _, p := range fold.order {
 		if nf := fold.nodes[p]; !nf.del && d.isSharedPath(p) {
-			lockSet[p] = true
+			rewritten = append(rewritten, p)
 		}
 	}
-	lockPaths := make([]string, 0, len(lockSet))
-	for p := range lockSet {
-		lockPaths = append(lockPaths, p)
-	}
-	slices.Sort(lockPaths)
-	for _, p := range lockPaths {
-		lock := d.acquireSharedLock(ctx, p)
-		defer func(l fksync.Lock) { _ = d.Locks.Release(ctx, l) }(lock)
-	}
-	for _, p := range fold.order {
-		nf := fold.nodes[p]
-		if nf.del || !d.isSharedPath(p) {
-			continue
+	if len(rewritten) > 0 {
+		lockSorted(append(slices.Clone(rewritten), sharedOrder...))
+		for _, p := range rewritten {
+			d.refreshSharedFromSystem(ctx, p, fold.nodes[p].node)
 		}
-		d.refreshSharedFromSystem(ctx, p, nf.node)
 	}
 
 	wg := sim.NewWaitGroup(d.K)
@@ -486,22 +574,20 @@ func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, epochs map[c
 		wg.Add(1)
 		d.K.Go("leader-update-"+string(s.Region()), func() {
 			defer wg.Done()
+			region := string(s.Region())
 			stamp := epochs[s.Region()]
-			// One coalesced record per touched path, published before any
-			// of the batch's writes become readable in this region.
+			// One coalesced record per touched node, published before any
+			// of the fold's node writes become readable in this region.
 			if rc := d.CacheFor(s.Region()); rc != nil {
-				// Batch legs serve many requests at once: recorded as
-				// trace-0 pipeline spans rather than per-request children.
-				tsp := d.tspan(0, obs.SpanCacheInval, "", -1, string(s.Region()))
-				sp := invSlicePool.Get().(*[]cache.Invalidation)
-				invs := fold.appendInvalidations((*sp)[:0], sharedPFs, stamp, d.cacheMapEpoch())
-				rc.InvalidateBatch(ctx, invs)
-				*sp = invs[:0]
-				invSlicePool.Put(sp)
-				d.spanEnd(tsp)
+				lctx, sp := d.foldLeg(ctx, fold.owner, obs.SpanCacheInval, region)
+				buf := invSlicePool.Get().(*[]cache.Invalidation)
+				invs := fold.appendInvalidations((*buf)[:0], stamp, d.cacheMapEpoch())
+				rc.InvalidateBatch(lctx, invs)
+				*buf = invs[:0]
+				invSlicePool.Put(buf)
+				d.spanEnd(sp)
 			}
-			tsp := d.tspan(0, obs.SpanStoreWrite, "", -1, string(s.Region()))
-			defer d.spanEnd(tsp)
+			lctx, sp := d.foldLeg(ctx, fold.owner, obs.SpanStoreWrite, region)
 			if aa, atomic := s.(AtomicApplier); atomicApply && atomic {
 				writes := make([]BatchWrite, 0, len(fold.order))
 				for _, p := range fold.order {
@@ -512,31 +598,39 @@ func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, epochs map[c
 						writes = append(writes, BatchWrite{Path: p, Node: nf.node, Epoch: stamp})
 					}
 				}
-				_ = aa.ApplyBatch(ctx, writes)
+				_ = aa.ApplyBatch(lctx, writes)
 			} else {
 				for _, p := range fold.order {
 					nf := fold.nodes[p]
 					if nf.del {
-						_ = s.Delete(ctx, p)
+						_ = s.Delete(lctx, p)
 					} else {
-						_ = s.Write(ctx, nf.node, stamp)
+						_ = s.Write(lctx, nf.node, stamp)
 					}
 				}
 			}
+			d.spanEnd(sp)
+			// Creates and deletes also change the parent's child list, which
+			// lives in the parent's node object: a read-modify-write cycle,
+			// because object stores lack partial updates (Section 3.2,
+			// Requirement #6).
+			pctx, _ := d.foldLeg(ctx, fold.owner, "", region)
 			for _, p := range fold.parentOrder {
-				pf := fold.parents[p]
-				if pf.consumed {
-					continue
+				if pf := fold.parents[p]; !pf.consumed {
+					d.applyParentFold(pctx, s, p, pf, stamp)
 				}
-				d.applyParentFold(ctx, s, p, pf, stamp)
 			}
 		})
 	}
 	wg.Wait()
 
 	// The shared parents' coalesced splices run after the regional writes,
-	// still under the shared locks taken above (mirroring
-	// updateSharedParent's position in the per-op pipeline).
+	// under the shared locks. The per-region stamps hold the union of every
+	// shard's epoch list, so an in-flight child-watch notification fired by
+	// any shard still holds reads of the parent (Z4).
+	if len(sharedOrder) > 0 && len(rewritten) == 0 {
+		lockSorted(slices.Clone(sharedOrder))
+	}
 	for _, p := range sharedOrder {
 		p, pf := p, sharedPFs[p]
 		rwg := sim.NewWaitGroup(d.K)
@@ -552,34 +646,29 @@ func (d *Deployment) distributeFold(ctx cloud.Ctx, fold *batchFold, epochs map[c
 	}
 }
 
-// appendInvalidations assembles the batch's coalesced multi-path
+// appendInvalidations assembles the fold's coalesced multi-path
 // invalidation record for one region into invs (pooled scratch): each
-// touched path once, at its newest folded txid. Shared parents' splices
-// (flushed after the regional writes) are included so their floors are
-// raised before their RMWs land too.
-func (f *batchFold) appendInvalidations(invs []cache.Invalidation, shared map[string]*parentFold, stamp []int64, mapEpoch int64) []cache.Invalidation {
+// touched node once, at its newest folded txid. Parents rewritten by a
+// separate read-modify-write publish their own record (applyParentFold).
+func (f *batchFold) appendInvalidations(invs []cache.Invalidation, stamp []int64, mapEpoch int64) []cache.Invalidation {
 	for _, p := range f.order {
 		invs = append(invs, cache.Invalidation{Path: p, Mzxid: f.nodes[p].txid, Epoch: stamp, MapEpoch: mapEpoch})
-	}
-	for _, p := range f.parentOrder {
-		pf := f.parents[p]
-		if _, isShared := shared[p]; pf.consumed && !isShared {
-			continue // folded into the node write above
-		}
-		invs = append(invs, cache.Invalidation{Path: p, Mzxid: pf.pzxid, Epoch: stamp, MapEpoch: mapEpoch})
 	}
 	return invs
 }
 
-// applyParentFold is the batch's one read-modify-write per parent and
-// region: read, apply the coalesced splices, raise the stamps, write
-// back. The invalidation for this path was already published with the
-// batch record.
+// applyParentFold is one read-modify-write of a parent in one region:
+// read, apply the coalesced splices, raise the stamps, write back. The
+// rebuilt object replaces a cached copy whose child list is now stale, so
+// the path's invalidation publishes right before the write lands.
 func (d *Deployment) applyParentFold(ctx cloud.Ctx, s UserStore, path string, pf *parentFold, stamp []int64) {
 	parent, _, err := s.Read(ctx, path)
 	if err != nil {
 		return
 	}
 	spliceInto(parent, pf)
+	if rc := d.CacheFor(s.Region()); rc != nil {
+		rc.Invalidate(ctx, d.cacheInv(path, pf.pzxid, stamp))
+	}
 	_ = s.Write(ctx, parent, stamp)
 }

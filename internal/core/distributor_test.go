@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/znode"
 )
 
@@ -87,8 +88,16 @@ func TestSpliceIntoIdempotentAndRaising(t *testing.T) {
 	}
 }
 
+// TestBatchFoldInvalidations pins where each path's invalidation is
+// published. The coalesced node record covers every touched node once, at
+// its newest folded txid; a parent whose splice merges into its own node
+// write rides that entry. A parent rewritten by a separate
+// read-modify-write (/q) is absent from the record: applyParentFold
+// publishes its invalidation right before the rewrite lands, as the
+// paper's per-message pipeline does.
 func TestBatchFoldInvalidations(t *testing.T) {
 	f := newBatchFold()
+	defer f.release()
 	f.foldWrite("/p", &znode.Node{Path: "/p"}, 2)
 	f.foldWrite("/p/c", &znode.Node{Path: "/p/c"}, 5)
 	f.foldParent("/p", "c", "", 1, 5)
@@ -103,7 +112,7 @@ func TestBatchFoldInvalidations(t *testing.T) {
 	}
 
 	stamp := []int64{11}
-	invs := f.appendInvalidations(nil, nil, stamp, 0)
+	invs := f.appendInvalidations(nil, stamp, 0)
 	got := map[string]int64{}
 	for _, inv := range invs {
 		if _, dup := got[inv.Path]; dup {
@@ -114,7 +123,7 @@ func TestBatchFoldInvalidations(t *testing.T) {
 			t.Errorf("epoch stamp lost on %s: %v", inv.Path, inv.Epoch)
 		}
 	}
-	want := map[string]int64{"/p": 5, "/p/c": 5, "/q": 7}
+	want := map[string]int64{"/p": 5, "/p/c": 5}
 	for p, m := range want {
 		if got[p] != m {
 			t.Errorf("invalidation for %s at txid %d, want %d (all: %v)", p, got[p], m, got)
@@ -123,4 +132,30 @@ func TestBatchFoldInvalidations(t *testing.T) {
 	if len(got) != len(want) {
 		t.Errorf("invalidations = %v, want exactly %v", got, want)
 	}
+
+	// The standalone parent's read-modify-write raises its own floor.
+	k, d := newTestDeployment(1, Config{UserStore: StoreKV, CacheMode: CacheRegional})
+	k.Go("parent-rmw", func() {
+		ctx := cloud.ClientCtx(d.Cfg.Profile.Home)
+		s := d.Stores[0]
+		rc := d.CacheFor(s.Region())
+		if err := s.Write(ctx, &znode.Node{Path: "/q"}, nil); err != nil {
+			t.Errorf("seed /q: %v", err)
+			return
+		}
+		if floor, _ := rc.Floor("/q"); floor >= 7 {
+			t.Errorf("/q floor %d raised before its read-modify-write", floor)
+		}
+		d.applyParentFold(ctx, s, "/q", f.parents["/q"], stamp)
+		floor, epoch := rc.Floor("/q")
+		if floor != 7 || len(epoch) != 1 || epoch[0] != 11 {
+			t.Errorf("/q floor = %d %v after its read-modify-write, want 7 [11]", floor, epoch)
+		}
+		n, _, err := s.Read(ctx, "/q")
+		if err != nil || !slices.Contains(n.Children, "d") || n.Stat.Pzxid != 7 {
+			t.Errorf("/q after splice: %+v %v", n, err)
+		}
+	})
+	k.Run()
+	k.Shutdown()
 }

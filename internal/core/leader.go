@@ -116,28 +116,7 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 			}
 		}
 	}
-	var completions []watchCompletion
-	if d.Cfg.BatchWrites {
-		// Batching distributor: per-message commit phases fold into one
-		// (or a few, per MaxBatch) batch-level distributions. The paper's
-		// per-message path below stays untouched — with BatchWrites off
-		// the pipeline is byte-identical (golden trace test).
-		completions = d.leaderProcessBatched(ctx, msgs, epochs)
-	} else {
-		for _, dm := range msgs {
-			if dm.msg.Op == OpReshardFence {
-				// Every earlier message of this serialized queue has been
-				// fully processed and distributed: release the reshard
-				// coordinator.
-				d.ackFence(d.billSys(ctx, shard), dm.msg)
-				continue
-			}
-			tTotal := d.K.Now()
-			comps := d.leaderProcess(d.billMsg(ctx, dm.msg), dm.msg, dm.txid, epochs)
-			completions = append(completions, comps...)
-			d.recordPhase("leader.total", d.K.Now()-tTotal)
-		}
-	}
+	completions := d.leaderProcess(ctx, msgs, epochs)
 	// WaitAll(WatchCallback): every delivery completes before the function
 	// returns, and its id leaves the epoch counter (➏).
 	for _, c := range completions {
@@ -156,125 +135,11 @@ func (d *Deployment) leaderHandler(inv *faas.Invocation) error {
 	return nil
 }
 
-func (d *Deployment) leaderProcess(ctx cloud.Ctx, msg leaderMsg, txid int64, epochs map[cloud.Region][]int64) []watchCompletion {
-	if msg.Op == OpMulti || msg.Op == OpTxnCommit {
-		tm, err := decodeTxnMsgWith(d.Cfg.codec, msg.NodeBlob)
-		if err != nil {
-			return nil
-		}
-		if msg.Op == OpMulti {
-			// A single-shard multi(): the fast path's leader commit phase.
-			return d.leaderProcessMulti(ctx, msg, tm, txid, epochs)
-		}
-		// One shard's share of a cross-shard transaction commit.
-		return d.leaderTxnCommit(ctx, msg, tm, txid, epochs)
-	}
-	if msg.Op == OpDeregister {
-		if d.deregAckComplete(ctx, msg) {
-			d.notifyResult(msg, txid, CodeOK, znode.Stat{})
-		}
-		return nil
-	}
-	// ➊ Fetch the node's control record and verify our transaction is the
-	// head of its pending list (➋ trying to commit on behalf of a crashed
-	// follower when it is not).
-	d.stageMsg(msg, obs.StageCommit)
-	t0 := d.K.Now()
-	node, committed := d.awaitCommit(ctx, msg, txid)
-	d.recordPhase("leader.get", d.K.Now()-t0)
-	if !committed {
-		if d.staleDynMsg(ctx, msg, dynGen(msg)) {
-			// Stranded by a reshard. A live follower saw its commit fail
-			// the generation guard and owns the re-route — answering here
-			// would race the retry's response. But a follower that died
-			// between push and commit never retries (the push marked the
-			// request processed, so queue redelivery dedups it away); its
-			// tell is the message's own lock timestamps still on the node.
-			// Reclaiming those locks decides the race exactly once.
-			if d.reclaimFencedMsg(ctx, msg) {
-				d.notifyResult(msg, txid, CodeSystemError, znode.Stat{})
-			}
-			return nil
-		}
-		d.notifyResult(msg, txid, CodeSystemError, znode.Stat{})
-		return nil
-	}
-
-	// On a multi-shard deployment, watches are claimed and their ids
-	// entered into the epoch counters BEFORE the value is distributed:
-	// once another client can read the new value, the id is already
-	// visible to every shard's batch-start epoch union, so a write that
-	// causally follows that read — even on another shard — is stamped
-	// with the in-flight id and reads of it hold for the notification
-	// (Z4). The single-shard leader is serialized and keeps the paper's
-	// original distribute-then-query order.
-	preFire := d.NumShards() > 1
-	var fired []firedWatch
-	if d.fanoutOn() {
-		// Fan-out tier: one notification record per (path, txid) to the
-		// regional nodes — published before distribution so the epoch
-		// stamps land in the value writes (Z4), exactly like the
-		// pre-fire path. The node owns delivery; the leader never
-		// enumerates sessions and launches no watch function.
-		t0 = d.K.Now()
-		d.fanoutPublish(ctx, msg, txid, epochs)
-		d.recordPhase("leader.watchquery", d.K.Now()-t0)
-	} else if preFire {
-		t0 = d.K.Now()
-		fired = d.queryWatches(ctx, msg)
-		d.appendEpochs(ctx, fired, msg.Shard, epochs)
-		d.recordPhase("leader.watchquery", d.K.Now()-t0)
-	}
-
-	// ➌ Distribute the change to the user stores of every region in
-	// parallel, stamped with that region's in-flight watch ids.
-	d.stageMsg(msg, obs.StageFlush)
-	t0 = d.K.Now()
-	stat := d.updateUserStores(ctx, msg, txid, node, epochs)
-	d.recordPhase("leader.update", d.K.Now()-t0)
-
-	// ➍ Query watches (if not pre-claimed above) and launch deliveries.
-	if d.fanoutOn() {
-		// The change is readable everywhere: let the nodes deliver.
-		d.fanoutRelease(ctx, txid)
-	} else if !preFire {
-		t0 = d.K.Now()
-		fired = d.queryWatches(ctx, msg)
-		d.recordPhase("leader.watchquery", d.K.Now()-t0)
-	}
-
-	var comps []watchCompletion
-	for _, f := range fired {
-		if !preFire {
-			// The paper's interleaving: enter each id into the epoch
-			// counters right before launching its delivery.
-			d.appendEpochs(ctx, []firedWatch{f}, msg.Shard, epochs)
-		}
-		payload := watchPayload{
-			WatchID: f.wid, Event: f.event, Path: f.path, Txid: txid, Sessions: f.sessions,
-		}
-		sp := d.tspan(d.msgTrace(msg), obs.SpanWatchDeliver, f.path, msg.Shard, "")
-		// The delivery's whole cost — invocation, fan-out pushes, the watch
-		// sandbox's GB-s — rides the propagated sink into this span.
-		wctx := d.billSpan(ctx, costMsgTrace(msg), sp, msg.Shard, "")
-		fut := d.Platform.InvokeAsync(wctx, FnWatch, d.encodeWatchOwned(payload))
-		comps = append(comps, watchCompletion{wid: f.wid, fut: fut, span: sp})
-	}
-
-	// Notify the client of success.
-	t0 = d.K.Now()
-	d.notifyResult(msg, txid, CodeOK, stat)
-	d.recordPhase("leader.notify", d.K.Now()-t0)
-
-	d.popPending(ctx, msg, txid, true)
-	return comps
-}
-
 // popPending is step ➎: pop the transaction from the node's pending list;
 // once empty on a deleted node, garbage collect the tombstone (gc false
-// suppresses the collection — the batched pipeline passes it when a later
-// operation in the same invocation targets the path, whose commit may not
-// have appended to the pending list yet).
+// suppresses the collection — passed when a later operation in the same
+// invocation targets the path, whose commit may not have appended to the
+// pending list yet).
 func (d *Deployment) popPending(ctx cloud.Ctx, msg leaderMsg, txid int64, gc bool) {
 	t0 := d.K.Now()
 	key := nodeKey(msg.Path)
@@ -487,116 +352,6 @@ func (d *Deployment) buildUserNode(msg leaderMsg, txid int64, node sysNode) *zno
 	return n
 }
 
-// updateUserStores writes the change to every region in parallel and
-// returns the client-visible Stat.
-func (d *Deployment) updateUserStores(ctx cloud.Ctx, msg leaderMsg, txid int64, node sysNode, epochs map[cloud.Region][]int64) znode.Stat {
-	newNode := d.buildUserNode(msg, txid, node)
-	if msg.Op != OpDelete && newNode == nil {
-		return znode.Stat{}
-	}
-
-	// A parent is colocated with its children on one shard — except the
-	// shared paths (the root, whose children span all shards, and the
-	// root node of a split subtree, whose children span the split's
-	// targets); their updates are serialized separately below. A data
-	// write to a shared object itself must also hold the lock: a
-	// full-object write racing another shard's child splice would revert
-	// the child list. Under the lock the child list is refreshed from the
-	// system store, the source of truth.
-	sharedParent := msg.ParentPath != "" && d.isSharedPath(msg.ParentPath)
-	if newNode != nil && d.isSharedPath(msg.Path) {
-		lock := d.acquireSharedLock(ctx, msg.Path)
-		defer func() { _ = d.Locks.Release(ctx, lock) }()
-		d.refreshSharedFromSystem(ctx, msg.Path, newNode)
-	}
-
-	tr := d.msgTrace(msg)
-	ctr := costMsgTrace(msg)
-	wg := sim.NewWaitGroup(d.K)
-	for _, s := range d.Stores {
-		s := s
-		wg.Add(1)
-		d.K.Go("leader-update-"+string(s.Region()), func() {
-			defer wg.Done()
-			stamp := epochs[s.Region()]
-			// Publish the invalidation record before the store write
-			// lands: once the new value is readable, the regional cache
-			// has already dropped the old entry and raised the path's
-			// floor, so a concurrent read of the pre-write value can
-			// never re-fill the cache above the overwrite (package
-			// cache). A read in the window between the two sees exactly
-			// what the direct path would: the store's current value.
-			region := string(s.Region())
-			if rc := d.CacheFor(s.Region()); rc != nil {
-				sp := d.tspan(tr, obs.SpanCacheInval, msg.Path, msg.Shard, region)
-				rc.Invalidate(d.billSpan(ctx, ctr, sp, msg.Shard, region), d.cacheInv(msg.Path, txid, stamp))
-				d.spanEnd(sp)
-			}
-			sp := d.tspan(tr, obs.SpanStoreWrite, msg.Path, msg.Shard, region)
-			sctx := d.billSpan(ctx, ctr, sp, msg.Shard, region)
-			switch msg.Op {
-			case OpDelete:
-				_ = s.Delete(sctx, msg.Path)
-			default:
-				_ = s.Write(sctx, newNode, stamp)
-			}
-			d.spanEnd(sp)
-			// Creates and deletes also change the parent's child list,
-			// which lives in the parent's node object: a read-modify-write
-			// cycle, because object stores lack partial updates
-			// (Section 3.2, Requirement #6).
-			if msg.ParentPath != "" && !sharedParent {
-				d.applyParentRMW(d.billSpan(ctx, ctr, 0, msg.Shard, region), s, msg, txid, stamp)
-			}
-		})
-	}
-	wg.Wait()
-
-	if sharedParent {
-		d.updateSharedParent(ctx, msg, txid, epochs)
-	}
-
-	var stat znode.Stat
-	if newNode != nil {
-		stat = newNode.Stat
-	}
-	return stat
-}
-
-// applyParentRMW rebuilds the parent's user-store object in one region:
-// read, splice the child list, raise the stamps, write back. The splice
-// itself is spliceInto's shared rule set — applied idempotently (a root
-// data write may have refreshed the child list from the system store
-// while this splice was queued) with only-raised stamps (within a shard
-// they are monotone anyway, and on the shared root two shards may apply
-// their updates out of global txid order).
-func (d *Deployment) applyParentRMW(ctx cloud.Ctx, s UserStore, msg leaderMsg, txid int64, stamp []int64) {
-	parent, _, err := s.Read(ctx, msg.ParentPath)
-	if err != nil {
-		return
-	}
-	pf := newParentFold()
-	defer pf.release()
-	if msg.ChildAdd != "" {
-		pf.names = append(pf.names, msg.ChildAdd)
-		pf.present[msg.ChildAdd] = true
-	}
-	if msg.ChildDel != "" {
-		pf.names = append(pf.names, msg.ChildDel)
-		pf.present[msg.ChildDel] = false
-	}
-	pf.cversion = msg.Cversion
-	pf.pzxid = txid
-	spliceInto(parent, pf)
-	// The rebuilt parent object is about to replace the cached copy whose
-	// child list is now stale; invalidate before the write becomes
-	// readable (same ordering argument as the node update above).
-	if rc := d.CacheFor(s.Region()); rc != nil {
-		rc.Invalidate(ctx, d.cacheInv(msg.ParentPath, txid, stamp))
-	}
-	_ = s.Write(ctx, parent, stamp)
-}
-
 // cacheInv assembles the leader's per-path invalidation record, stamped
 // with the shard-map epoch on dynamic deployments (0 otherwise).
 func (d *Deployment) cacheInv(path string, txid int64, stamp []int64) cache.Invalidation {
@@ -659,28 +414,6 @@ func (d *Deployment) acquireSharedLock(ctx cloud.Ctx, path string) fksync.Lock {
 			return l
 		}
 	}
-}
-
-// updateSharedParent applies a create/delete under a shared parent to the
-// parent's user-store object in every region, serialized under the
-// path's shared lock (two shards interleaving the read-modify-write would
-// lose children). The per-region stamps already hold the union of every
-// shard's epoch list, so an in-flight child-watch notification fired by
-// any shard still holds reads of the parent (Z4).
-func (d *Deployment) updateSharedParent(ctx cloud.Ctx, msg leaderMsg, txid int64, epochs map[cloud.Region][]int64) {
-	lock := d.acquireSharedLock(ctx, msg.ParentPath)
-	defer func() { _ = d.Locks.Release(ctx, lock) }()
-
-	wg := sim.NewWaitGroup(d.K)
-	for _, s := range d.Stores {
-		s := s
-		wg.Add(1)
-		d.K.Go("leader-root-"+string(s.Region()), func() {
-			defer wg.Done()
-			d.applyParentRMW(ctx, s, msg, txid, epochs[s.Region()])
-		})
-	}
-	wg.Wait()
 }
 
 type firedWatch struct {

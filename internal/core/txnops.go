@@ -701,7 +701,7 @@ func (d *Deployment) buildTxnFold(ctx cloud.Ctx, resolved []txn.ResolvedOp, txid
 // single-shard fast path or the cross-shard two-phase commit.
 func (d *Deployment) followerMulti(ctx cloud.Ctx, req Request) error {
 	reqOps, err := txn.DecodeOpsWith(d.Cfg.codec, req.Data)
-	if !d.Cfg.EnableTxn || err != nil || len(reqOps) == 0 {
+	if err != nil || len(reqOps) == 0 {
 		d.respondFailure(req, CodeSystemError)
 		return nil
 	}

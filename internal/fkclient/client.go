@@ -136,6 +136,12 @@ type watchEntry struct {
 	// every notification already delivered by then.
 	armMRD map[int]int64
 
+	// rearmed marks an entry registered again while it was live. The
+	// first registration may already have been claimed, with its firing
+	// in flight, so the watch item holding the session no longer proves
+	// that no firing of this entry exists (see Client.read).
+	rearmed bool
+
 	// persistent marks a fan-out-tier addWatch registration: the entry
 	// survives fires (delivered is re-armed after each one) and lastFired
 	// tracks the newest delivered txid, which the read gate compares
@@ -589,16 +595,12 @@ func (c *Client) Delete(path string, version int32) error {
 // or none do (create/set_data/delete/check, built with txn.Create,
 // txn.SetData, txn.Delete, txn.Check). Ops confined to one write shard
 // take a fast path through the leader pipeline; ops spanning shards run
-// the two-phase commit coordinator (package txn). Requires
-// Config.EnableTxn; the per-op results are returned even on a rollback,
-// where the failing op carries its own code and its siblings report
-// txn.CodeAborted.
+// the two-phase commit coordinator (package txn). The per-op results are
+// returned even on a rollback, where the failing op carries its own code
+// and its siblings report txn.CodeAborted.
 func (c *Client) Multi(ops ...txn.Op) ([]txn.Result, error) {
 	if c.closed {
 		return nil, core.ErrSessionClosed
-	}
-	if !c.d.Cfg.EnableTxn {
-		return nil, core.ErrTxnDisabled
 	}
 	if len(ops) == 0 {
 		return nil, core.ErrSystemError
@@ -707,11 +709,12 @@ func (c *Client) registerWatch(path string, wt core.WatchType, cb WatchCallback)
 	if err != nil {
 		return err
 	}
-	if _, exists := c.watches[wid]; exists {
+	if e, exists := c.watches[wid]; exists {
 		// Same path+type watched twice: keep one entry, both callbacks via
 		// chaining would complicate ordering; latest callback wins, as the
 		// registration is idempotent server-side.
-		c.watches[wid].cb = cb
+		e.cb = cb
+		e.rearmed = true
 		return nil
 	}
 	armMRD := make(map[int]int64, len(c.mrd))
@@ -842,6 +845,13 @@ func (c *Client) read(path string, watching bool) (*znode.Node, error) {
 			}
 			if entry.persistent {
 				c.awaitPersistentFire(entry, n.Stat.Mzxid)
+				continue
+			}
+			if !entry.rearmed && c.d.WatchArmed(c.ctx, entry.path, entry.wt, c.id) {
+				// Stale alias the arm-time MRD cannot rule out: the version
+				// was stamped while the previous registration's firing was
+				// still in the epoch list. The current registration is
+				// still unclaimed, so no firing of it exists to wait for.
 				continue
 			}
 			if _, ok := entry.delivered.WaitTimeout(DefaultRequestTimeout); !ok {

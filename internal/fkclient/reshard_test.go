@@ -171,19 +171,20 @@ func TestLiveGrowThenMergeNoLostWrites(t *testing.T) {
 // the Z1 end state after it.
 func TestReshardRandomizedMatrix(t *testing.T) {
 	matrix := []struct {
-		name string
-		cfg  core.Config
+		name  string
+		cfg   core.Config
+		multi bool // the clients also issue cross-path multi()s
 	}{
-		{"plain", core.Config{WriteShards: 2, DynamicShards: true}},
-		{"batching", core.Config{WriteShards: 2, DynamicShards: true, BatchWrites: true}},
-		{"caching", core.Config{WriteShards: 2, DynamicShards: true, CacheMode: core.CacheTwoLevel}},
-		{"txn", core.Config{WriteShards: 2, DynamicShards: true, EnableTxn: true}},
+		{"plain", core.Config{WriteShards: 2, DynamicShards: true}, false},
+		{"batching", core.Config{WriteShards: 2, DynamicShards: true, BatchWrites: true}, false},
+		{"caching", core.Config{WriteShards: 2, DynamicShards: true, CacheMode: core.CacheTwoLevel}, false},
+		{"txn", core.Config{WriteShards: 2, DynamicShards: true}, true},
 	}
 	for _, mc := range matrix {
 		for _, seed := range []int64{2024, 7373} {
 			mc, seed := mc, seed
 			t.Run(fmt.Sprintf("%s/seed%d", mc.name, seed), func(t *testing.T) {
-				d := randomReshardHistory(t, seed, mc.cfg, 4, 10)
+				d := randomReshardHistory(t, seed, mc.cfg, mc.multi, 4, 10)
 				verifyTreeIntegrity(t, d)
 			})
 		}
@@ -193,7 +194,7 @@ func TestReshardRandomizedMatrix(t *testing.T) {
 // randomReshardHistory is randomHistory with a concurrent reshard driver:
 // while the clients churn, the subtree they fight over is split, merged,
 // and the queue count grown.
-func randomReshardHistory(t *testing.T, seed int64, cfg core.Config, nClients, opsPerClient int) *core.Deployment {
+func randomReshardHistory(t *testing.T, seed int64, cfg core.Config, multi bool, nClients, opsPerClient int) *core.Deployment {
 	t.Helper()
 	k := sim.NewKernel(seed)
 	d := core.NewDeployment(k, cfg)
@@ -242,7 +243,7 @@ func randomReshardHistory(t *testing.T, seed int64, cfg core.Config, nClients, o
 							t.Errorf("%s delete %s: %v", id, path, err)
 						}
 					case 6:
-						if d.Cfg.EnableTxn {
+						if multi {
 							// A cross-path multi keeps the coordinator in
 							// the mix while reshards land around it.
 							_, err := c.Multi(

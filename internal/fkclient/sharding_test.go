@@ -85,22 +85,24 @@ func traceWorkload(t *testing.T, cfg core.Config) []byte {
 const singleShardTraceSHA256 = "1571356e782063018cfc428c7647392bf86281bb96c008d6af60c9538825266e"
 
 // TestSingleShardTraceIdentical is the determinism guard: an explicit
-// WriteShards: 1 deployment must produce a byte-identical virtual-time
-// trace to the default configuration, and that trace must match the
-// golden hash recorded for the paper-faithful single-queue pipeline.
+// WriteShards: 1 deployment and the batching flush sizes must produce a
+// byte-identical virtual-time trace to the default configuration, and
+// that trace must match the golden hash recorded for the paper-faithful
+// single-queue pipeline.
 func TestSingleShardTraceIdentical(t *testing.T) {
 	base := traceWorkload(t, core.Config{})
 	one := traceWorkload(t, core.Config{WriteShards: 1})
 	if !bytes.Equal(base, one) {
 		t.Fatalf("WriteShards:1 trace differs from default:\n--- default ---\n%s--- shards=1 ---\n%s", base, one)
 	}
-	// The transaction gate must add zero operations to the non-multi
-	// pipeline: even with EnableTxn on (but no Multi issued), the trace
-	// stays byte-identical — the multi payload rides existing wire fields
-	// and the intent checks are free without intents.
-	withTxn := traceWorkload(t, core.Config{EnableTxn: true})
-	if !bytes.Equal(base, withTxn) {
-		t.Fatalf("EnableTxn:true trace differs from default:\n--- default ---\n%s--- txn ---\n%s", base, withTxn)
+	// A flush of one is the paper's per-message pipeline, and this
+	// workload never queues two messages for one leader invocation: the
+	// batching flush sizes must reproduce the trace operation for
+	// operation.
+	for _, cfg := range []core.Config{{BatchWrites: true, MaxBatch: 1}, {BatchWrites: true}} {
+		if got := traceWorkload(t, cfg); !bytes.Equal(base, got) {
+			t.Fatalf("%+v trace differs from default:\n--- default ---\n%s--- batched ---\n%s", cfg, base, got)
+		}
 	}
 	if len(base) == 0 {
 		t.Fatal("empty trace")

@@ -2,9 +2,11 @@ package fkclient
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
+	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/core"
 	"faaskeeper/internal/sim"
 )
@@ -154,3 +156,80 @@ func TestWatchAcrossSessionCloseIsDropped(t *testing.T) {
 		}
 	})
 }
+
+// rearmAliasRead reproduces the Z4 stale-alias stall. A watcher holds
+// one-shot data watches on p and q; one writer session pipelines a write
+// to q and then to p, so one leader invocation distributes p's new value
+// while q's firing is still in the epoch list — p's version is stamped
+// with q's watch id. Once q's notification arrives the watcher re-arms q
+// and reads p. The stamp's firing was delivered before the re-arm, so the
+// read must not wait for the new registration, which only the next write
+// to q would fire. p and q may be the same path.
+func rearmAliasRead(t *testing.T, p, q string) {
+	t.Helper()
+	run(t, 61, core.Config{}, func(k *sim.Kernel, d *core.Deployment) {
+		writer := mustConnect(t, d, "writer")
+		watcher := mustConnect(t, d, "watcher")
+		defer writer.Close()
+		defer watcher.Close()
+		paths := []string{"/slow", p}
+		if q != p {
+			paths = append(paths, q)
+		}
+		for _, path := range paths {
+			if _, err := writer.Create(path, []byte("0"), 0); err != nil {
+				t.Errorf("create %s: %v", path, err)
+				return
+			}
+		}
+		fired := sim.NewFuture[core.Notification](k)
+		if _, _, err := watcher.GetDataW(q, func(n core.Notification) { fired.TryComplete(n) }); err != nil {
+			t.Errorf("watch %s: %v", q, err)
+			return
+		}
+		if p != q {
+			if _, _, err := watcher.GetDataW(p, func(core.Notification) {}); err != nil {
+				t.Errorf("watch %s: %v", p, err)
+				return
+			}
+		}
+		// A large write ahead of the pair keeps the leader busy while the
+		// pair queues up behind it.
+		_ = writer.submitWrite(core.OpSetData, "/slow", make([]byte, 200<<10), -1, 0)
+		wq := writer.submitWrite(core.OpSetData, q, []byte("1"), -1, 0)
+		wp := writer.submitWrite(core.OpSetData, p, []byte("2"), -1, 0)
+		for _, f := range []*sim.Future[core.Response]{wq, wp} {
+			if resp, ok := f.WaitTimeout(DefaultRequestTimeout); !ok || resp.Code != core.CodeOK {
+				t.Errorf("pipelined write: %+v ok=%v", resp, ok)
+				return
+			}
+		}
+		if _, ok := fired.WaitTimeout(DefaultRequestTimeout); !ok {
+			t.Errorf("notification for %s never delivered", q)
+			return
+		}
+		// The scenario only exists if p's stored version carries q's id.
+		_, stamp, err := d.StoreFor(d.Cfg.Profile.Home).Read(cloud.ClientCtx(d.Cfg.Profile.Home), p)
+		if err != nil || !slices.Contains(stamp, core.WatchID(q, core.WatchData)) {
+			t.Errorf("%s stamp %v (err %v) lacks %s's watch id: the writes did not share a leader invocation", p, stamp, err, q)
+			return
+		}
+		t0 := k.Now()
+		if _, _, err := watcher.GetDataW(q, func(core.Notification) {}); err != nil {
+			t.Errorf("re-arm %s: %v", q, err)
+			return
+		}
+		data, _, err := watcher.GetData(p)
+		if err != nil || string(data) != "2" {
+			t.Errorf("read %s after re-arming %s: %q %v", p, q, data, err)
+			return
+		}
+		if waited := k.Now() - t0; waited > sim.Ms(1000) {
+			t.Errorf("re-arm of %s and read of %s took %v: the read waited on the re-armed registration", q, p, waited)
+		}
+	})
+}
+
+func TestRearmedWatchStaleAliasTwoPaths(t *testing.T) { rearmAliasRead(t, "/p", "/q") }
+
+func TestRearmedWatchStaleAliasSamePath(t *testing.T) { rearmAliasRead(t, "/p", "/p") }

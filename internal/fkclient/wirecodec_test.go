@@ -54,18 +54,19 @@ func TestBinaryCodecRandomizedMatrix(t *testing.T) {
 // run, tree integrity after.
 func TestBinaryCodecReshardMatrix(t *testing.T) {
 	matrix := []struct {
-		name string
-		cfg  core.Config
+		name  string
+		cfg   core.Config
+		multi bool // the clients also issue cross-path multi()s
 	}{
-		{"reshard", core.Config{WireCodec: "binary", WriteShards: 2, DynamicShards: true}},
-		{"reshard-batching", core.Config{WireCodec: "binary", WriteShards: 2, DynamicShards: true, BatchWrites: true}},
-		{"reshard-txn", core.Config{WireCodec: "binary", WriteShards: 2, DynamicShards: true, EnableTxn: true}},
-		{"reshard-caching", core.Config{WireCodec: "binary", WriteShards: 2, DynamicShards: true, CacheMode: core.CacheTwoLevel}},
+		{"reshard", core.Config{WireCodec: "binary", WriteShards: 2, DynamicShards: true}, false},
+		{"reshard-batching", core.Config{WireCodec: "binary", WriteShards: 2, DynamicShards: true, BatchWrites: true}, false},
+		{"reshard-txn", core.Config{WireCodec: "binary", WriteShards: 2, DynamicShards: true}, true},
+		{"reshard-caching", core.Config{WireCodec: "binary", WriteShards: 2, DynamicShards: true, CacheMode: core.CacheTwoLevel}, false},
 	}
 	for _, mc := range matrix {
 		mc := mc
 		t.Run(mc.name, func(t *testing.T) {
-			d := randomReshardHistory(t, 909, mc.cfg, 4, 10)
+			d := randomReshardHistory(t, 909, mc.cfg, mc.multi, 4, 10)
 			verifyTreeIntegrity(t, d)
 		})
 	}
@@ -76,9 +77,9 @@ func TestBinaryCodecReshardMatrix(t *testing.T) {
 // leader messages, the representation-compose case the codec must get
 // right.
 func TestBinaryCodecTxnHistories(t *testing.T) {
-	_, d := randomHistory(t, 1212, core.Config{WireCodec: "binary", EnableTxn: true, WriteShards: 2}, 4, 12)
+	_, d := randomHistory(t, 1212, core.Config{WireCodec: "binary", WriteShards: 2}, 4, 12)
 	verifyTreeIntegrity(t, d)
-	obs, d1 := randomHistory(t, 1313, core.Config{WireCodec: "binary", EnableTxn: true}, 4, 12)
+	obs, d1 := randomHistory(t, 1313, core.Config{WireCodec: "binary"}, 4, 12)
 	verifyZ2(t, obs)
 	verifyTreeIntegrity(t, d1)
 }
