@@ -95,7 +95,9 @@ func BenchmarkReshardDynamicMap(b *testing.B) { benchExperiment(b, "reshard") }
 
 // --- micro-benchmarks of the implementation itself (real time) ---
 
-// BenchmarkSimKernelEvents measures raw simulator event throughput.
+// BenchmarkSimKernelEvents measures raw simulator event throughput. Its one
+// process wakes itself, so every event takes the kernel's self-wake path and
+// no goroutine switch; BenchmarkSimKernelHandoff measures the switch.
 func BenchmarkSimKernelEvents(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.NewKernel(1)
@@ -106,6 +108,35 @@ func BenchmarkSimKernelEvents(b *testing.B) {
 	})
 	b.ResetTimer()
 	k.RunFor(time.Duration(b.N) * time.Millisecond)
+	b.StopTimer()
+	k.Shutdown()
+}
+
+// BenchmarkSimKernelHandoff measures one process-to-process handoff: two
+// processes ping-pong a token through a pair of queues, so every event
+// resumes the other process. One op is one handoff.
+func BenchmarkSimKernelHandoff(b *testing.B) {
+	b.ReportAllocs()
+	k := sim.NewKernel(1)
+	ping, pong := sim.NewQueue[int](k), sim.NewQueue[int](k)
+	k.Go("ping", func() {
+		for i := 0; i < b.N; i += 2 {
+			ping.Push(i)
+			pong.Pop()
+		}
+		ping.Close()
+	})
+	k.Go("pong", func() {
+		for {
+			v, ok := ping.Pop()
+			if !ok {
+				return
+			}
+			pong.Push(v)
+		}
+	})
+	b.ResetTimer()
+	k.Run()
 	b.StopTimer()
 	k.Shutdown()
 }

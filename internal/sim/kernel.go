@@ -2,17 +2,20 @@
 //
 // All concurrency in the simulated cloud (functions, storage services,
 // queues, clients, ZooKeeper servers) is expressed as sim processes.
-// Exactly one process is runnable at any instant: the kernel hands control
-// to a process, the process runs until it blocks on a kernel primitive
-// (Sleep, Future.Wait, Queue.Pop, ...) and control returns to the kernel,
-// which advances virtual time to the next scheduled event. Runs are fully
+// Exactly one process is runnable at any instant. A process runs until it
+// blocks on a kernel primitive (Sleep, Future.Wait, Queue.Pop, ...) or
+// returns; it then picks the next wake-up from the event heap itself,
+// advances virtual time to it and resumes that process directly, so an
+// event costs at most one goroutine switch, and none when a process wakes
+// itself. RunUntil only starts this chain and waits on the kernel's parked
+// signal, which is sent when no event is left, the horizon is reached, the
+// kernel is stopped, or Shutdown kills a process. Runs are fully
 // deterministic for a given seed, there are no data races by construction,
 // and virtual time is free: simulating 24 hours costs only the events that
 // occur within them.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -29,7 +32,8 @@ type Kernel struct {
 	events  eventHeap
 	seq     int64
 	current *Process
-	parked  chan struct{}
+	limit   Time          // horizon of the RunUntil in progress
+	parked  chan struct{} // signalled when the handoff chain ends
 	rng     *rand.Rand
 	nextID  int64
 	live    map[int64]*Process
@@ -61,19 +65,55 @@ type event struct {
 	wakeSeq int64
 }
 
+// eventHeap is a binary min-heap of events ordered by (at, seq). seq is
+// unique, so the order is total and the pop order does not depend on how
+// the heap is laid out.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (e event) before(o event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) peek() event   { return h[0] }
+
+func (h *eventHeap) push(e event) {
+	s := append(*h, e)
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s[i].before(s[parent]) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+	*h = s
+}
+
+func (h *eventHeap) pop() event {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s[n] = event{} // drop the process reference
+	s = s[:n]
+	for i := 0; ; {
+		least := 2*i + 1
+		if least >= n {
+			break
+		}
+		if r := least + 1; r < n && s[r].before(s[least]) {
+			least = r
+		}
+		if !s[least].before(s[i]) {
+			break
+		}
+		s[i], s[least] = s[least], s[i]
+		i = least
+	}
+	*h = s
+	return top
+}
 
 // NewKernel returns a kernel whose random source is seeded with seed.
 func NewKernel(seed int64) *Kernel {
@@ -116,7 +156,49 @@ func (k *Kernel) scheduleWake(at Time, p *Process, wakeSeq int64) {
 		at = k.now
 	}
 	k.seq++
-	heap.Push(&k.events, event{at: at, seq: k.seq, proc: p, wakeSeq: wakeSeq})
+	k.events.push(event{at: at, seq: k.seq, proc: p, wakeSeq: wakeSeq})
+}
+
+// next pops the next live wake-up within the RunUntil horizon, advances
+// virtual time to it and makes its process current. It returns nil when the
+// run is over: no event is left, the horizon is reached, or the kernel is
+// stopped.
+func (k *Kernel) next() *Process {
+	for len(k.events) > 0 && !k.stopped {
+		if k.events[0].at > k.limit {
+			k.now = k.limit
+			break
+		}
+		ev := k.events.pop()
+		p := ev.proc
+		if p.done || ev.wakeSeq != p.parkSeq {
+			continue // stale wake-up (timeout raced with completion, etc.)
+		}
+		if ev.at > k.now {
+			k.now = ev.at
+		}
+		p.parkSeq++
+		k.current = p
+		return p
+	}
+	k.current = nil
+	return nil
+}
+
+// handOff passes control from the running process (from) to the next one,
+// or back to RunUntil when the run is over. It reports whether from is
+// itself next; otherwise from must touch no kernel state until it is
+// resumed.
+func (k *Kernel) handOff(from *Process) (self bool) {
+	switch p := k.next(); p {
+	case from:
+		return true
+	case nil:
+		k.parked <- struct{}{}
+	default:
+		p.resume <- struct{}{}
+	}
+	return false
 }
 
 // park blocks the current process until some event wakes it. It must be
@@ -124,8 +206,9 @@ func (k *Kernel) scheduleWake(at Time, p *Process, wakeSeq int64) {
 // future/queue), otherwise the process sleeps forever.
 func (k *Kernel) park() {
 	p := k.current
-	k.parked <- struct{}{}
-	<-p.resume
+	if !k.handOff(p) {
+		<-p.resume
+	}
 	if p.killed {
 		panic(killedPanic{})
 	}
@@ -156,7 +239,7 @@ func (k *Kernel) Go(name string, fn func()) *Process {
 				}
 				panic(r) // real bug: crash loudly
 			}
-			k.parked <- struct{}{}
+			k.handOff(p)
 		}()
 		fn()
 	}()
@@ -188,33 +271,23 @@ func (k *Kernel) Run() Time {
 
 // RunUntil executes events with timestamps <= limit and returns the final
 // virtual time (which may exceed limit only if it already did on entry).
+// A Stop from an earlier run is cleared first, so the events it left
+// behind run now.
 func (k *Kernel) RunUntil(limit Time) Time {
-	for len(k.events) > 0 && !k.stopped {
-		if k.events.peek().at > limit {
-			k.now = limit
-			break
-		}
-		ev := heap.Pop(&k.events).(event)
-		p := ev.proc
-		if p.done || ev.wakeSeq != p.parkSeq {
-			continue // stale wake-up (timeout raced with completion, etc.)
-		}
-		if ev.at > k.now {
-			k.now = ev.at
-		}
-		p.parkSeq++
-		k.current = p
+	k.limit = limit
+	k.stopped = false
+	if p := k.next(); p != nil {
 		p.resume <- struct{}{}
 		<-k.parked
 	}
-	k.current = nil
 	return k.now
 }
 
 // RunFor runs the simulation for d of virtual time from now.
 func (k *Kernel) RunFor(d time.Duration) Time { return k.RunUntil(k.now + d) }
 
-// Stop makes Run return after the current event completes.
+// Stop makes the current Run return once the running process parks or
+// exits. Pending events stay queued for the next Run.
 func (k *Kernel) Stop() { k.stopped = true }
 
 // Live returns the number of processes that have been spawned and have not
@@ -226,8 +299,11 @@ func (k *Kernel) Live() int { return len(k.live) }
 // safe to call after Run returns; it must not be called from inside a
 // process.
 func (k *Kernel) Shutdown() {
-	// Drain any still-pending events so stale resumes do not interfere.
+	// Drain any still-pending events so stale resumes do not interfere, and
+	// stop the kernel so a process that parks again while it unwinds (in a
+	// deferred call) hands control straight back here.
 	k.events = nil
+	k.stopped = true
 	for _, p := range k.live {
 		if p.done {
 			continue

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -241,5 +243,163 @@ func TestYieldInterleavesSameInstant(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v", order)
 		}
+	}
+}
+
+func TestStopInsideProcessKeepsPendingEvents(t *testing.T) {
+	k := NewKernel(1)
+	var order []string
+	k.Go("a", func() {
+		k.Sleep(time.Second)
+		order = append(order, "a1")
+		k.Stop()
+		k.Sleep(time.Second)
+		order = append(order, "a2")
+	})
+	k.Go("b", func() {
+		k.Sleep(2 * time.Second)
+		order = append(order, "b1")
+		k.Sleep(2 * time.Second)
+		order = append(order, "b2")
+	})
+	if end := k.Run(); end != time.Second {
+		t.Fatalf("stopped run ended at %v, want 1s", end)
+	}
+	if !reflect.DeepEqual(order, []string{"a1"}) || k.Live() != 2 {
+		t.Fatalf("after Stop: order %v, live %d", order, k.Live())
+	}
+	// b's 2s wake-up was scheduled before a's, so it runs first.
+	if end := k.RunUntil(time.Minute); end != 4*time.Second {
+		t.Fatalf("resumed run ended at %v, want 4s", end)
+	}
+	if want := []string{"a1", "b1", "a2", "b2"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+}
+
+func TestRunUntilHorizonThenContinue(t *testing.T) {
+	k := NewKernel(1)
+	var order []string
+	tick := func(name string, offset time.Duration) {
+		k.Go(name, func() {
+			k.Sleep(offset)
+			for {
+				order = append(order, name+"@"+k.Now().String())
+				k.Sleep(time.Second)
+			}
+		})
+	}
+	tick("a", 0)
+	tick("b", 500*time.Millisecond)
+	if end := k.RunUntil(1200 * time.Millisecond); end != 1200*time.Millisecond || k.Now() != end {
+		t.Fatalf("first run ended at %v (now %v), want 1.2s", end, k.Now())
+	}
+	if want := []string{"a@0s", "b@500ms", "a@1s"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("first run order = %v, want %v", order, want)
+	}
+	if end := k.RunUntil(2 * time.Second); end != 2*time.Second {
+		t.Fatalf("second run ended at %v, want 2s", end)
+	}
+	if want := []string{"a@0s", "b@500ms", "a@1s", "b@1.5s", "a@2s"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("second run order = %v, want %v", order, want)
+	}
+	k.Shutdown()
+}
+
+func TestExitHandsControlToNextProcess(t *testing.T) {
+	k := NewKernel(1)
+	var order []string
+	k.Go("a", func() {
+		k.Sleep(time.Second)
+		k.Go("c", func() { order = append(order, "c@"+k.Now().String()) })
+		order = append(order, "a@"+k.Now().String())
+	})
+	k.Go("b", func() {
+		k.Sleep(2 * time.Second)
+		order = append(order, "b@"+k.Now().String())
+	})
+	if end := k.Run(); end != 2*time.Second {
+		t.Fatalf("run ended at %v, want 2s", end)
+	}
+	if want := []string{"a@1s", "c@1s", "b@2s"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	if k.Live() != 0 {
+		t.Fatalf("live = %d, want 0", k.Live())
+	}
+}
+
+func TestLoneYieldReturnsAtSameInstant(t *testing.T) {
+	k := NewKernel(1)
+	yields := 0
+	k.Go("yielder", func() {
+		k.Sleep(time.Second)
+		for i := 0; i < 1000; i++ {
+			k.Yield()
+			if k.Now() != time.Second {
+				t.Errorf("yield %d returned at %v, want 1s", i, k.Now())
+				return
+			}
+			yields++
+		}
+	})
+	if end := k.Run(); end != time.Second || yields != 1000 {
+		t.Fatalf("run ended at %v after %d yields, want 1s and 1000", end, yields)
+	}
+}
+
+func TestShutdownAfterMidChainRunReleasesGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel(1)
+	q := NewQueue[int](k)
+	for i := 0; i < 3; i++ {
+		k.Go("popper", func() {
+			for {
+				q.Pop()
+			}
+		})
+	}
+	k.Go("pusher", func() {
+		for i := 0; ; i++ {
+			q.Push(i)
+			k.Sleep(time.Millisecond)
+		}
+	})
+	k.RunFor(10*time.Millisecond + 500*time.Microsecond)
+	k.Go("never-started", func() { t.Error("a process killed before its first run ran") })
+	k.Shutdown()
+	if k.Live() != 0 {
+		t.Fatalf("live = %d after shutdown", k.Live())
+	}
+	// A released goroutine exits just after it signals the kernel.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("%d goroutines after shutdown, want %d", n, before)
+	}
+}
+
+func TestShutdownWhileUnwindingParkReturnsControl(t *testing.T) {
+	k := NewKernel(1)
+	q := NewQueue[int](k)
+	var order []string
+	k.Go("sleepy-defer", func() {
+		defer func() {
+			order = append(order, "defer")
+			k.Sleep(time.Second) // parks again while being killed
+			order = append(order, "after-sleep")
+		}()
+		q.Pop()
+	})
+	k.Go("other", func() {
+		q.Pop()
+		order = append(order, "other-ran")
+	})
+	k.Run()
+	k.Shutdown() // sleepy-defer stays parked in its deferred Sleep
+	if want := []string{"defer"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
 	}
 }

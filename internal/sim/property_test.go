@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -39,6 +40,36 @@ func TestTimeNeverRegressesProperty(t *testing.T) {
 		return ok && wakes == len(delays)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEventHeapOrderProperty: the event heap pops any set of events in
+// strictly increasing (at, seq) order, however they were pushed and however
+// many share an instant. (at, seq) is a total order, so this pins the pop
+// order, and with it every trace, to the events alone.
+func TestEventHeapOrderProperty(t *testing.T) {
+	f := func(seed int64, ats []uint8) bool {
+		r := rand.New(rand.NewSource(seed))
+		var h eventHeap
+		popped := 0
+		for i, seq := range r.Perm(len(ats)) {
+			h.push(event{at: Time(ats[i] % 8), seq: int64(seq)})
+			if r.Intn(4) == 0 { // interleave pops with pushes
+				h.pop()
+				popped++
+			}
+		}
+		for last := (event{at: -1}); len(h) > 0; popped++ {
+			e := h.pop()
+			if !last.before(e) {
+				return false
+			}
+			last = e
+		}
+		return popped == len(ats)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -69,17 +69,17 @@ func (w Workload) Next(r *rand.Rand) OpKind {
 // (theta 0.99), using the Gray et al. rejection-free method.
 type Zipfian struct {
 	n     int64
-	theta float64
 	alpha float64
 	zetan float64
 	eta   float64
 	zeta2 float64
+	half  float64 // 1 + 0.5^theta: the upper bound of key 1's draw band
 }
 
 // NewZipfian builds a zipfian chooser over n items.
 func NewZipfian(n int64) *Zipfian {
 	const theta = 0.99
-	z := &Zipfian{n: n, theta: theta}
+	z := &Zipfian{n: n, half: 1 + math.Pow(0.5, theta)}
 	z.zeta2 = zeta(2, theta)
 	z.zetan = zeta(n, theta)
 	z.alpha = 1.0 / (1.0 - theta)
@@ -102,7 +102,7 @@ func (z *Zipfian) Next(r *rand.Rand) int64 {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < z.half {
 		return 1
 	}
 	return int64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))

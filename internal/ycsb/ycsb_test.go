@@ -1,6 +1,8 @@
 package ycsb
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -54,6 +56,24 @@ func TestZipfianSkewAndRange(t *testing.T) {
 	}
 	if len(counts) < 100 {
 		t.Errorf("only %d distinct keys drawn", len(counts))
+	}
+}
+
+// TestZipfianDrawsPinned pins the first 10 000 draws of a fixed-seed
+// Zipfian(4096) by digest, so an optimisation of Next that changes even one
+// floating-point rounding shows up here.
+func TestZipfianDrawsPinned(t *testing.T) {
+	const want = uint64(0x961053689a9efbe3)
+	r := rand.New(rand.NewSource(42))
+	z := NewZipfian(4096)
+	h := fnv.New64a()
+	var buf [8]byte
+	for i := 0; i < 10000; i++ {
+		binary.LittleEndian.PutUint64(buf[:], uint64(z.Next(r)))
+		h.Write(buf[:])
+	}
+	if got := h.Sum64(); got != want {
+		t.Fatalf("draw digest = %#x, want %#x", got, want)
 	}
 }
 
