@@ -153,8 +153,6 @@ type DeploymentOptions struct {
 	HeartbeatEvery time.Duration
 	// ExtraRegions adds user-store replicas updated in parallel.
 	ExtraRegions []string
-	// CollectPhases records per-phase latency samples.
-	CollectPhases bool
 	// WriteShards partitions the leader write pipeline by znode subtree
 	// into N ordered queues with one serialized leader instance each.
 	// Default 1 — the paper-faithful single totally-ordered write path.
@@ -210,9 +208,11 @@ type DeploymentOptions struct {
 	// Telemetry enables the virtual-time observability subsystem
 	// (package obs): a causal span per request covering every pipeline
 	// stage, plus counters/gauges/histograms keyed by component, shard,
-	// and region. Spans are pure bookkeeping — virtual timing and wire
-	// bytes are identical either way — and with Telemetry off (the
-	// default) every instrumentation point is a zero-allocation no-op.
+	// and region — among them the per-phase function timings of the
+	// paper's Figures 9-13 and Table 3 (component "phase"). Spans are
+	// pure bookkeeping — virtual timing and wire bytes are identical
+	// either way — and with Telemetry off (the default) every
+	// instrumentation point is a zero-allocation no-op.
 	// Export via Deployment.Obs: Chrome trace-event JSON
 	// (obs.WriteChromeTrace), a Prometheus-style text dump
 	// (obs.WritePrometheus), or a per-request span log
@@ -228,13 +228,11 @@ type DeploymentOptions struct {
 	// the "cost" experiment and Deployment.Obs().Cost.
 	CostAccounting bool
 	// CostBudgetUSDPerHour arms the ledger's burn-rate monitor: spend is
-	// evaluated over tumbling windows of virtual time and a window
+	// evaluated over tumbling 1 s windows of virtual time and a window
 	// exceeding this hourly rate emits a breach gauge and a "cost.breach"
-	// span. 0 disarms (the default). Requires CostAccounting.
+	// span. 0 disarms (the default). Requires CostAccounting: a budget
+	// without it panics at deployment.
 	CostBudgetUSDPerHour float64
-	// CostBudgetWindow is the burn-rate evaluation window (default 1 s of
-	// virtual time).
-	CostBudgetWindow time.Duration
 }
 
 // AutoShard is the shard auto-scaling policy (DeploymentOptions.AutoShard).
@@ -258,7 +256,6 @@ func (s *Simulation) DeployFaaSKeeper(opts DeploymentOptions) *Deployment {
 		FollowerMemMB:        opts.FunctionMemoryMB,
 		LeaderMemMB:          opts.FunctionMemoryMB,
 		HeartbeatEvery:       opts.HeartbeatEvery,
-		CollectPhases:        opts.CollectPhases,
 		WriteShards:          opts.WriteShards,
 		BatchWrites:          opts.BatchWrites,
 		MaxBatch:             opts.MaxBatch,
@@ -273,7 +270,6 @@ func (s *Simulation) DeployFaaSKeeper(opts DeploymentOptions) *Deployment {
 		Telemetry:            opts.Telemetry,
 		CostAccounting:       opts.CostAccounting,
 		CostBudgetUSDPerHour: opts.CostBudgetUSDPerHour,
-		CostBudgetWindow:     opts.CostBudgetWindow,
 	}
 	if opts.ARM {
 		cfg.Arch = faas.ARM

@@ -285,3 +285,16 @@ func TestCacheModeValidation(t *testing.T) {
 		}()
 	}
 }
+
+func TestCostBudgetRequiresCostAccounting(t *testing.T) {
+	c := Config{CostAccounting: true, CostBudgetUSDPerHour: 1}
+	c.defaults()
+	// Without the ledger the budget would never be evaluated.
+	defer func() {
+		if recover() == nil {
+			t.Error("CostBudgetUSDPerHour without CostAccounting accepted, want panic")
+		}
+	}()
+	c = Config{CostBudgetUSDPerHour: 1}
+	c.defaults()
+}

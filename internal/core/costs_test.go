@@ -30,8 +30,14 @@ func TestCostOffBillersAllocateNothing(t *testing.T) {
 		if d.invBill(nil, 0) != nil {
 			t.Fatal("cost-off invocation sink non-nil")
 		}
+		// Phase timing rides the registry: without Telemetry it is a
+		// no-op too.
+		d.recordPhase("leader.update", sim.Ms(1))
 	}); allocs != 0 {
 		t.Fatalf("cost-off billers allocated %.1f/op, want 0", allocs)
+	}
+	if d.Phase("leader.update") != nil {
+		t.Fatal("phase recorded with Telemetry off")
 	}
 	k.Shutdown()
 }

@@ -47,20 +47,15 @@ type Config struct {
 	Profile   *cloud.Profile // default: cloud.AWSProfile()
 	UserStore StoreKind      // default: StoreObject (the paper's base AWS setup)
 
-	// HybridThresholdB is the KV/object split point (default 4 kB).
-	HybridThresholdB int
-
 	// ExtraRegions adds user-store replicas the leader updates in parallel.
 	ExtraRegions []cloud.Region
 
 	FollowerMemMB  int // default 2048
 	LeaderMemMB    int // default 2048
-	WatchMemMB     int // default 512
 	HeartbeatMemMB int // default 512
 	Arch           faas.Arch
 	VCPU           float64
 
-	LockLease        time.Duration // timed-lock lease (default 2 s)
 	HeartbeatEvery   time.Duration // 0 disables the scheduled function
 	HeartbeatTimeout time.Duration // client reply deadline (default 1.5 s)
 	Retries          int           // event-function retry budget (default 2)
@@ -167,13 +162,11 @@ type Config struct {
 	// buffers, reflection-free decoding.
 	WireCodec string
 
-	// CollectPhases enables per-phase latency sampling (Figures 9-12,
-	// Table 3).
-	CollectPhases bool
-
 	// Telemetry enables the virtual-time telemetry subsystem (package
 	// obs): causal per-request span trees across the whole pipeline and
-	// hot-path counters/histograms in the metrics registry. Trace ids are
+	// hot-path counters/histograms in the metrics registry, including the
+	// per-phase function timings of Figures 9-13 and Table 3 (component
+	// "phase", read back with Deployment.Phase). Trace ids are
 	// derived from fields the wire already carries, so gob messages — and
 	// therefore the golden virtual-time trace — stay byte-identical, and
 	// with Telemetry off every instrumentation point is a zero-allocation
@@ -192,17 +185,11 @@ type Config struct {
 	CostAccounting bool
 
 	// CostBudgetUSDPerHour arms the ledger's burn-rate monitor: spend is
-	// evaluated over tumbling CostBudgetWindow windows of virtual time and
-	// a window exceeding this hourly rate emits a breach gauge and an
-	// instant "cost.breach" span. 0 disarms (the default).
+	// evaluated over tumbling 1 s windows of virtual time and a window
+	// exceeding this hourly rate emits a breach gauge and an instant
+	// "cost.breach" span. 0 disarms (the default). Requires
+	// CostAccounting.
 	CostBudgetUSDPerHour float64
-
-	// CostBudgetWindow is the burn-rate evaluation window (default 1 s of
-	// virtual time).
-	CostBudgetWindow time.Duration
-
-	// Faults injects failures for resilience tests.
-	Faults Faults
 
 	// codec is WireCodec parsed by defaults(); zero value = gob.
 	codec wire.Codec
@@ -267,13 +254,15 @@ func (a *AutoShard) defaults() {
 	}
 }
 
-// Faults are injectable failure probabilities.
-type Faults struct {
-	// FollowerCrashAfterPush is the probability that the follower function
-	// dies after pushing to the leader queue but before committing the
-	// system store — the window Algorithm 2's TryCommit covers.
-	FollowerCrashAfterPush float64
-}
+// Fixed deployment parameters that no configuration varies.
+const (
+	// hybridThresholdB is StoreHybrid's KV/object split point.
+	hybridThresholdB = 4096
+	// watchMemMB sizes the watch function.
+	watchMemMB = 512
+	// lockLease is the timed-lock lease of the system store.
+	lockLease = 2 * time.Second
+)
 
 func (c *Config) defaults() {
 	if c.Profile == nil {
@@ -282,23 +271,14 @@ func (c *Config) defaults() {
 	if c.UserStore == "" {
 		c.UserStore = StoreObject
 	}
-	if c.HybridThresholdB <= 0 {
-		c.HybridThresholdB = 4096
-	}
 	if c.FollowerMemMB <= 0 {
 		c.FollowerMemMB = 2048
 	}
 	if c.LeaderMemMB <= 0 {
 		c.LeaderMemMB = 2048
 	}
-	if c.WatchMemMB <= 0 {
-		c.WatchMemMB = 512
-	}
 	if c.HeartbeatMemMB <= 0 {
 		c.HeartbeatMemMB = 512
-	}
-	if c.LockLease <= 0 {
-		c.LockLease = 2 * time.Second
 	}
 	if c.HeartbeatTimeout <= 0 {
 		c.HeartbeatTimeout = 1500 * time.Millisecond
@@ -333,6 +313,11 @@ func (c *Config) defaults() {
 		// A typo must not silently deploy the wrong tier (an unknown
 		// string would otherwise enable the regional cache).
 		panic("core: unknown CacheMode " + string(c.CacheMode))
+	}
+	if c.CostBudgetUSDPerHour > 0 && !c.CostAccounting {
+		// The ledger is off without CostAccounting, so the budget would
+		// silently never be evaluated.
+		panic("core: CostBudgetUSDPerHour requires CostAccounting")
 	}
 	// CacheCapacityB's 64 MB default is owned by cache.NewRegional (<= 0
 	// passes through).
@@ -395,15 +380,7 @@ type Deployment struct {
 	// dynShards in shard.go).
 	dyn *dynShards
 
-	// txnWatchBatches / txnWatchDeliveries count the cross-shard
-	// transaction watch pipeline: deliveries are individual watch-function
-	// invocations, batches the per-shard post-apply groups that carried
-	// them (one epoch-exit write per region per batch).
-	txnWatchBatches    int64
-	txnWatchDeliveries int64
-
 	sessions map[string]*SessionTransport
-	phases   map[string]*stats.Sample
 
 	// lastSeq is the warm-sandbox deduplication cache: each session's
 	// queue has exactly one concurrent follower instance, so remembering
@@ -438,18 +415,14 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 		Cfg:      cfg,
 		System:   kv.NewTable(env, "system"),
 		sessions: map[string]*SessionTransport{},
-		phases:   map[string]*stats.Sample{},
 		lastSeq:  map[string]int64{},
 	}
 	d.Obs = obs.NewHub(k, cfg.Telemetry, cfg.CostAccounting)
 	if cfg.CostBudgetUSDPerHour > 0 {
-		d.Obs.Cost.SetBudget(obs.Budget{
-			USDPerHour: cfg.CostBudgetUSDPerHour,
-			Window:     sim.Time(cfg.CostBudgetWindow),
-		})
+		d.Obs.Cost.SetBudget(obs.Budget{USDPerHour: cfg.CostBudgetUSDPerHour})
 	}
 	d.System.SetCostCategory("syskv")
-	d.Locks = fksync.NewLockManager(env, d.System, cfg.LockLease)
+	d.Locks = fksync.NewLockManager(env, d.System, lockLease)
 	d.Txns = txn.NewStore(d.System, k)
 	d.Txns.SetWireCodec(cfg.codec)
 	d.Txns.SetMetrics(d.Obs.Metrics)
@@ -515,7 +488,7 @@ func NewDeployment(k *sim.Kernel, cfg Config) *Deployment {
 		Retries: cfg.Retries,
 	}, d.leaderHandler)
 	d.Platform.Deploy(faas.Config{
-		Name: FnWatch, MemoryMB: cfg.WatchMemMB, Arch: cfg.Arch, VCPU: cfg.VCPU,
+		Name: FnWatch, MemoryMB: watchMemMB, Arch: cfg.Arch, VCPU: cfg.VCPU,
 	}, d.watchHandler)
 	d.Platform.Deploy(faas.Config{
 		Name: FnHeartbeat, MemoryMB: cfg.HeartbeatMemMB,
@@ -549,19 +522,12 @@ func (d *Deployment) addShardQueue() {
 	d.Platform.AddQueueTrigger(q, FnLeader, 1)
 }
 
-// TxnWatchStats reports the cross-shard transaction watch pipeline's
-// delivery batching: total watch-function invocations and the per-shard
-// post-apply batches they were folded into.
-func (d *Deployment) TxnWatchStats() (batches, deliveries int64) {
-	return d.txnWatchBatches, d.txnWatchDeliveries
-}
-
 func (d *Deployment) newUserStore(r cloud.Region) UserStore {
 	switch d.Cfg.UserStore {
 	case StoreKV:
 		return NewKVStore(d.Env, "user-data-"+string(r), r)
 	case StoreHybrid:
-		return NewHybridStore(d.Env, "user-data-"+string(r), r, d.Cfg.HybridThresholdB)
+		return NewHybridStore(d.Env, "user-data-"+string(r), r, hybridThresholdB)
 	case StoreMem:
 		return NewMemStore(d.Env, r)
 	default:
@@ -687,36 +653,21 @@ func (d *Deployment) notify(sessionID string, payload any, size int) {
 	st.cloudEnd.Send(payload, size)
 }
 
-// recordPhase samples a per-phase latency when collection is enabled.
+// recordPhase observes one function phase's duration in the registry's
+// "phase" histograms (Figures 9-13, Table 3); a no-op without Telemetry.
 func (d *Deployment) recordPhase(name string, dur sim.Time) {
-	if !d.Cfg.CollectPhases {
-		return
-	}
-	s, ok := d.phases[name]
-	if !ok {
-		s = stats.NewSample(1024)
-		d.phases[name] = s
-	}
-	s.AddDur(dur)
+	d.Obs.Metrics.Observe(obs.Key{Component: "phase", Name: name}, dur)
 }
 
-// Phase returns the collected samples for one phase name (nil if none).
-func (d *Deployment) Phase(name string) *stats.Sample { return d.phases[name] }
-
-// PhaseNames lists phases with recorded samples.
-func (d *Deployment) PhaseNames() []string {
-	names := make([]string, 0, len(d.phases))
-	for n := range d.phases {
-		names = append(names, n)
-	}
-	return names
+// Phase returns the recorded samples of one phase (nil if none).
+func (d *Deployment) Phase(name string) *stats.Sample {
+	return d.Obs.Metrics.Hist(obs.Key{Component: "phase", Name: name})
 }
 
-// ResetMetrics clears the cost meter, phase samples, and telemetry
-// spans/instruments (used after warmup).
+// ResetMetrics clears the cost meter and the telemetry spans, instruments
+// and phase samples (used after warmup).
 func (d *Deployment) ResetMetrics() {
 	d.Env.Meter.Reset()
-	d.phases = map[string]*stats.Sample{}
 	d.Obs.Reset()
 }
 

@@ -169,7 +169,7 @@ func (d *Deployment) followerSetData(ctx cloud.Ctx, req Request) error {
 		d.respondFailure(req, CodeSystemError)
 		return nil
 	}
-	if d.crashInjected() || d.crashAt(obs.StageLeaderQ, req.Session, req.Seq) {
+	if d.crashAt(obs.StageLeaderQ, req.Session, req.Seq) {
 		return errInjectedCrash
 	}
 	// ④ Commit and unlock in one conditional write (joined with the
@@ -295,7 +295,7 @@ func (d *Deployment) followerCreate(ctx cloud.Ctx, req Request) error {
 		return nil
 	}
 	txid := r.txid
-	if d.crashInjected() || d.crashAt(obs.StageLeaderQ, req.Session, req.Seq) {
+	if d.crashAt(obs.StageLeaderQ, req.Session, req.Seq) {
 		return errInjectedCrash
 	}
 	// ④ A multi-node commit: the new node and its parent fail or succeed
@@ -405,7 +405,7 @@ func (d *Deployment) followerDelete(ctx cloud.Ctx, req Request) (int, error) {
 		return r.shard, nil
 	}
 	txid := r.txid
-	if d.crashInjected() || d.crashAt(obs.StageLeaderQ, req.Session, req.Seq) {
+	if d.crashAt(obs.StageLeaderQ, req.Session, req.Seq) {
 		return r.shard, errInjectedCrash
 	}
 	t0 := d.K.Now()
@@ -598,15 +598,10 @@ func (d *Deployment) unlockAll(ctx cloud.Ctx, locks ...fksync.Lock) {
 	}
 }
 
-func (d *Deployment) crashInjected() bool {
-	p := d.Cfg.Faults.FollowerCrashAfterPush
-	return p > 0 && d.K.Rand().Float64() < p
-}
-
-// crashAt asks the kernel's fault hook (package chaos) whether the
-// function should die at the labeled pipeline stage while processing
-// (session, seq). Without a hook — every non-chaos deployment — this is a
-// nil check and nothing else.
+// crashAt asks the kernel's fault hook (package chaos, or a crash test's
+// hook) whether the function should die at the labeled pipeline stage
+// while processing (session, seq); it is the only crash injection point.
+// Without a hook this is a nil check and nothing else.
 func (d *Deployment) crashAt(stage, session string, seq int64) bool {
 	h := d.K.Fault()
 	return h != nil && h.Crash(stage, session, seq)

@@ -823,7 +823,7 @@ func (d *Deployment) multiFastPath(ctx cloud.Ctx, req Request, reqOps []txn.Op) 
 		return nil
 	}
 	txid := r.txid
-	if d.crashInjected() || d.crashAt(obs.StageTxnPrep, req.Session, req.Seq) {
+	if d.crashAt(obs.StageTxnPrep, req.Session, req.Seq) {
 		return errInjectedCrash
 	}
 	// ④ One multi-item commit: every touched node and parent fails or
@@ -942,7 +942,7 @@ func (d *Deployment) multiTwoPhase(ctx cloud.Ctx, req Request, reqOps []txn.Op) 
 	if err := d.Txns.Decide(ctx, id, txn.StatusPreparing, txn.StatusCommitted, plan.resolved); err != nil {
 		return nil // a resumed duplicate owns the record; let it drive
 	}
-	if d.crashInjected() || d.crashAt(obs.StageTxnCommit, req.Session, req.Seq) {
+	if d.crashAt(obs.StageTxnCommit, req.Session, req.Seq) {
 		return errInjectedCrash
 	}
 	return d.txnCommitDrive(ctx, req, id, plan.resolved, nil, false)
@@ -1000,7 +1000,7 @@ func (d *Deployment) txnCommitDrive(ctx cloud.Ctx, req Request, id int64, resolv
 	for _, s := range shards {
 		d.txnSysCommit(ctx, id, resolvedOfShard(resolved, s), commits[s])
 	}
-	if d.crashInjected() || d.crashAt(obs.StageTxnApply, req.Session, req.Seq) {
+	if d.crashAt(obs.StageTxnApply, req.Session, req.Seq) {
 		return errInjectedCrash
 	}
 	// Barrier: every shard leader finished its commit phase (watches
@@ -1386,8 +1386,8 @@ func (d *Deployment) leaderTxnCommit(ctx cloud.Ctx, msg leaderMsg, tm txnMsg, tx
 		fired := fired
 		tr := d.msgTrace(msg)
 		ctr := costMsgTrace(msg)
-		d.txnWatchBatches++
-		d.txnWatchDeliveries += int64(len(fired))
+		d.Obs.Metrics.Inc(obs.Key{Component: "txn", Name: "watch_batches", Shard: msg.Shard}, 1)
+		d.Obs.Metrics.Inc(obs.Key{Component: "txn", Name: "watch_deliveries", Shard: msg.Shard}, int64(len(fired)))
 		d.K.Go("txn-watch-batch", func() {
 			// A missing record counts as applied (finished + collected).
 			// A timed-out poll (ok=false) means the coordinator is still

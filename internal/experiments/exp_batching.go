@@ -65,7 +65,7 @@ const (
 // increasing — a folded write handing out the batch's final stat would
 // trip them).
 func runBatchingWorkload(seed int64, cfg core.Config, wl batchingWorkload, sessions, ops int) batchingRun {
-	cfg.CollectPhases = true
+	cfg.Telemetry = true
 	k := sim.NewKernel(seed)
 	d := core.NewDeployment(k, cfg)
 	res := batchingRun{writes: sessions * ops, lat: stats.NewSample(sessions * ops)}

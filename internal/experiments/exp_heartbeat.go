@@ -28,7 +28,7 @@ func heartbeatExec(seed int64, nClients, memMB, reps int) float64 {
 	k := sim.NewKernel(seed)
 	d := core.NewDeployment(k, core.Config{
 		Profile: cloud.AWSProfile(), UserStore: core.StoreKV,
-		HeartbeatMemMB: memMB, CollectPhases: true,
+		HeartbeatMemMB: memMB, Telemetry: true,
 	})
 	k.Go("bench", func() {
 		clients := make([]*fkclient.Client, 0, nClients)

@@ -9,6 +9,7 @@ import (
 
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/core"
+	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/znode"
 )
@@ -22,6 +23,32 @@ func run(t *testing.T, seed int64, cfg core.Config, fn func(k *sim.Kernel, d *co
 	k.Run()
 	k.Shutdown()
 }
+
+// crashHook is a sim.FaultHook that kills the running function with
+// probability p right after it pushed to a leader queue — the window the
+// leader's TryCommit covers — and at a transaction coordinator's prepare,
+// commit and apply stages. It draws from the kernel's own source, one
+// draw per stage reached, so a seed replays the same crash history on
+// every run.
+type crashHook struct {
+	k *sim.Kernel
+	p float64
+}
+
+// injectCrashes installs a crashHook with probability p on k.
+func injectCrashes(k *sim.Kernel, p float64) { k.SetFaultHook(crashHook{k: k, p: p}) }
+
+func (h crashHook) Crash(stage, _ string, _ int64) bool {
+	switch stage {
+	case obs.StageLeaderQ, obs.StageTxnPrep, obs.StageTxnCommit, obs.StageTxnApply:
+		return h.k.Rand().Float64() < h.p
+	}
+	return false
+}
+
+func (crashHook) Redeliver(string) bool         { return false }
+func (crashHook) DeliveryDelay(string) sim.Time { return 0 }
+func (crashHook) OpDelay() sim.Time             { return 0 }
 
 func mustConnect(t *testing.T, d *core.Deployment, id string) *Client {
 	t.Helper()
@@ -424,11 +451,8 @@ func TestReadYourWritesAndMonotonicReads(t *testing.T) {
 }
 
 func TestFollowerCrashRecoveredByLeaderTryCommit(t *testing.T) {
-	cfg := core.Config{
-		Faults:  core.Faults{FollowerCrashAfterPush: 0.3},
-		Retries: 3,
-	}
-	run(t, 13, cfg, func(k *sim.Kernel, d *core.Deployment) {
+	run(t, 13, core.Config{Retries: 3}, func(k *sim.Kernel, d *core.Deployment) {
+		injectCrashes(k, 0.3)
 		c := mustConnect(t, d, "s1")
 		defer c.Close()
 		c.Create("/r", nil, 0)

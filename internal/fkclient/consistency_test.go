@@ -27,8 +27,18 @@ type observation struct {
 // set and returns per-session commit observations plus the deployment.
 func randomHistory(t *testing.T, seed int64, cfg core.Config, nClients, opsPerClient int) (map[string][]observation, *core.Deployment) {
 	t.Helper()
+	return crashingHistory(t, seed, cfg, 0, nClients, opsPerClient)
+}
+
+// crashingHistory is randomHistory with functions crashing at probability
+// crashP (see crashHook).
+func crashingHistory(t *testing.T, seed int64, cfg core.Config, crashP float64, nClients, opsPerClient int) (map[string][]observation, *core.Deployment) {
+	t.Helper()
 	k := sim.NewKernel(seed)
 	d := core.NewDeployment(k, cfg)
+	if crashP > 0 { // a hook draws even at p = 0, shifting the kernel's stream
+		injectCrashes(k, crashP)
+	}
 	obs := map[string][]observation{}
 	paths := []string{"/a", "/b", "/c", "/a/x", "/b/y"}
 
@@ -175,11 +185,7 @@ func TestConsistencyRandomizedHistories(t *testing.T) {
 }
 
 func TestConsistencyUnderFollowerCrashes(t *testing.T) {
-	cfg := core.Config{
-		Faults:  core.Faults{FollowerCrashAfterPush: 0.15},
-		Retries: 3,
-	}
-	obs, d := randomHistory(t, 777, cfg, 3, 10)
+	obs, d := crashingHistory(t, 777, core.Config{Retries: 3}, 0.15, 3, 10)
 	verifyZ2(t, obs)
 	verifyTreeIntegrity(t, d)
 }
@@ -228,10 +234,8 @@ func TestSingleSystemImageConvergence(t *testing.T) {
 // never rolled back").
 func TestAcceptedUpdatesNeverRollBack(t *testing.T) {
 	k := sim.NewKernel(67)
-	d := core.NewDeployment(k, core.Config{
-		Faults:  core.Faults{FollowerCrashAfterPush: 0.3},
-		Retries: 3,
-	})
+	d := core.NewDeployment(k, core.Config{Retries: 3})
+	injectCrashes(k, 0.3)
 	k.Go("driver", func() {
 		c, _ := Connect(d, "s", d.Cfg.Profile.Home)
 		defer c.Close()

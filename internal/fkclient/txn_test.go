@@ -281,12 +281,9 @@ func TestMultiCoordinatorCrashRecovery(t *testing.T) {
 	// Crash injection fires inside the coordinator (after pushes and after
 	// the commit decision); queue redelivery must resume the durable
 	// record and apply the transaction exactly once.
-	cfg := core.Config{
-		WriteShards: 4, UserStore: core.StoreKV,
-		Faults:  core.Faults{FollowerCrashAfterPush: 0.4},
-		Retries: 6,
-	}
+	cfg := core.Config{WriteShards: 4, UserStore: core.StoreKV, Retries: 6}
 	run(t, 97, cfg, func(k *sim.Kernel, d *core.Deployment) {
+		injectCrashes(k, 0.4)
 		c := mustConnect(t, d, "s1")
 		defer c.Close()
 		paths := shardedPaths(4, 2)

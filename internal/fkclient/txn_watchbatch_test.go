@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"faaskeeper/internal/core"
+	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/txn"
 )
@@ -16,9 +17,9 @@ import (
 // TestTxnWatchDeliveryBatching: a cross-shard multi() fires several
 // watches on one shard; all of them deliver exactly once, the epoch
 // counters drain, and the deliveries were folded into per-shard batches
-// (TxnWatchStats), not per-watch waiters.
+// (the "txn" registry counters), not per-watch waiters.
 func TestTxnWatchDeliveryBatching(t *testing.T) {
-	run(t, 99, core.Config{WriteShards: 4}, func(k *sim.Kernel, d *core.Deployment) {
+	run(t, 99, core.Config{WriteShards: 4, Telemetry: true}, func(k *sim.Kernel, d *core.Deployment) {
 		writer := mustConnect(t, d, "writer")
 		watcher := mustConnect(t, d, "watcher")
 
@@ -89,7 +90,11 @@ func TestTxnWatchDeliveryBatching(t *testing.T) {
 		// The regression: 4 deliveries folded into exactly 2 per-shard
 		// batches (one per participant shard with fired watches) — the
 		// pre-batching pipeline spawned one waiter per watch.
-		batches, deliveries := d.TxnWatchStats()
+		var batches, deliveries int64
+		for s := 0; s < 4; s++ {
+			batches += d.Obs.Metrics.Counter(obs.Key{Component: "txn", Name: "watch_batches", Shard: s})
+			deliveries += d.Obs.Metrics.Counter(obs.Key{Component: "txn", Name: "watch_deliveries", Shard: s})
+		}
 		if deliveries != int64(len(all)) {
 			t.Errorf("deliveries = %d, want %d", deliveries, len(all))
 		}

@@ -14,7 +14,11 @@ package sim
 // move, and no random numbers are drawn. Implementations live outside the
 // simulator (package chaos); they must draw randomness from their own
 // seeded source, never from the kernel's, so installing a hook perturbs
-// timing only through the faults it actually injects.
+// timing only through the faults it actually injects. The one exception is
+// the crash hook of package fkclient's tests, which draws from the
+// kernel's source at the leader-queue push and the transaction stages on
+// purpose: its crash tests replay, draw for draw, the histories recorded
+// when crash injection was a Config probability drawn at those points.
 type FaultHook interface {
 	// Crash reports whether the currently running function should fail at
 	// the labeled stage while processing (session, seq). The call site

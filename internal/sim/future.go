@@ -114,7 +114,7 @@ func (wg *WaitGroup) Wait() {
 type Semaphore struct {
 	k       *Kernel
 	permits int
-	waiters []waiter
+	waiters fifo[waiter]
 }
 
 // NewSemaphore creates a semaphore with the given number of permits.
@@ -125,7 +125,7 @@ func NewSemaphore(k *Kernel, permits int) *Semaphore {
 // Acquire takes one permit, blocking while none are available.
 func (s *Semaphore) Acquire() {
 	for s.permits == 0 {
-		s.waiters = append(s.waiters, s.k.waiterFor(s.k.current))
+		s.waiters.push(s.k.waiterFor(s.k.current))
 		s.k.park()
 	}
 	s.permits--
@@ -143,9 +143,8 @@ func (s *Semaphore) TryAcquire() bool {
 // Release returns one permit and wakes one waiter if any.
 func (s *Semaphore) Release() {
 	s.permits++
-	for len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
+	for s.waiters.len() > 0 {
+		w := s.waiters.pop()
 		if w.seq == w.p.parkSeq && !w.p.done { // still parked on us
 			s.k.wake(w)
 			return

@@ -349,7 +349,18 @@ func TestLoneYieldReturnsAtSameInstant(t *testing.T) {
 }
 
 func TestShutdownAfterMidChainRunReleasesGoroutines(t *testing.T) {
+	// Goroutines released by earlier tests exit just after they signal
+	// their kernel; let them finish so they do not leave the baseline
+	// while this test runs.
 	before := runtime.NumGoroutine()
+	for settled := 0; settled < 5; {
+		time.Sleep(time.Millisecond)
+		if n := runtime.NumGoroutine(); n != before {
+			before, settled = n, 0
+		} else {
+			settled++
+		}
+	}
 	k := NewKernel(1)
 	q := NewQueue[int](k)
 	for i := 0; i < 3; i++ {

@@ -4,23 +4,56 @@ package sim
 // never block; Pops block while the queue is empty.
 type Queue[T any] struct {
 	k       *Kernel
-	items   []T
-	waiters []waiter
+	items   fifo[T]
+	waiters fifo[waiter]
 	closed  bool
+}
+
+// fifo is a slice-backed FIFO. A pop zeroes the vacated slot, so a popped
+// value is not kept reachable by the backing array, and a drained fifo
+// rewinds to the start of its array, so steady push/pop traffic reuses
+// one allocation instead of re-slicing its way into a new one.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+func (f *fifo[T]) push(v T) {
+	if f.head > 0 && len(f.buf) == cap(f.buf) {
+		// Full with a dead prefix: slide the live items down rather
+		// than grow an array that is partly garbage.
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf, f.head = f.buf[:n], 0
+	}
+	f.buf = append(f.buf, v)
+}
+
+func (f *fifo[T]) pop() T {
+	v := f.buf[f.head]
+	var zero T
+	f.buf[f.head] = zero
+	f.head++
+	if f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
+	}
+	return v
 }
 
 // NewQueue creates an empty queue bound to kernel k.
 func NewQueue[T any](k *Kernel) *Queue[T] { return &Queue[T]{k: k} }
 
 // Len returns the number of buffered items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Push appends v and wakes one blocked popper, if any.
 func (q *Queue[T]) Push(v T) {
 	if q.closed {
 		panic("sim: push on closed queue")
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 	q.wakeOne()
 }
 
@@ -28,16 +61,14 @@ func (q *Queue[T]) Push(v T) {
 // once the buffer drains.
 func (q *Queue[T]) Close() {
 	q.closed = true
-	for _, w := range q.waiters {
-		q.k.wake(w)
+	for q.waiters.len() > 0 {
+		q.k.wake(q.waiters.pop())
 	}
-	q.waiters = nil
 }
 
 func (q *Queue[T]) wakeOne() {
-	for len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
+	for q.waiters.len() > 0 {
+		w := q.waiters.pop()
 		if w.seq == w.p.parkSeq && !w.p.done {
 			q.k.wake(w)
 			return
@@ -48,18 +79,17 @@ func (q *Queue[T]) wakeOne() {
 // Pop removes and returns the head item, blocking while the queue is empty.
 // It returns ok=false only if the queue is closed and drained.
 func (q *Queue[T]) Pop() (T, bool) {
-	for len(q.items) == 0 {
+	for q.items.len() == 0 {
 		if q.closed {
 			var zero T
 			return zero, false
 		}
-		q.waiters = append(q.waiters, q.k.waiterFor(q.k.current))
+		q.waiters.push(q.k.waiterFor(q.k.current))
 		q.k.park()
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
+	v := q.items.pop()
 	// If more items remain, keep the wake-up chain going for other poppers.
-	if len(q.items) > 0 {
+	if q.items.len() > 0 {
 		q.wakeOne()
 	}
 	return v, true
@@ -67,31 +97,28 @@ func (q *Queue[T]) Pop() (T, bool) {
 
 // TryPop removes the head item without blocking.
 func (q *Queue[T]) TryPop() (T, bool) {
-	if len(q.items) == 0 {
+	if q.items.len() == 0 {
 		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return q.items.pop(), true
 }
 
 // PopTimeout waits at most d for an item. ok is false on timeout or close.
 func (q *Queue[T]) PopTimeout(d Time) (T, bool) {
 	deadline := q.k.now + d
-	for len(q.items) == 0 {
+	for q.items.len() == 0 {
 		if q.closed || q.k.now >= deadline {
 			var zero T
 			return zero, false
 		}
 		w := q.k.waiterFor(q.k.current)
-		q.waiters = append(q.waiters, w)
+		q.waiters.push(w)
 		q.k.wakeAt(deadline, w)
 		q.k.park()
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	if len(q.items) > 0 {
+	v := q.items.pop()
+	if q.items.len() > 0 {
 		q.wakeOne()
 	}
 	return v, true
@@ -109,7 +136,7 @@ func (q *Queue[T]) PopBatch(max int, window Time) []T {
 	batch := []T{first}
 	deadline := q.k.now + window
 	for len(batch) < max {
-		if len(q.items) > 0 {
+		if q.items.len() > 0 {
 			v, _ := q.TryPop()
 			batch = append(batch, v)
 			continue

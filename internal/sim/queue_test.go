@@ -177,3 +177,46 @@ func TestTwoConsumersShareItemsWithoutLoss(t *testing.T) {
 		t.Fatalf("saw %d items", len(seen))
 	}
 }
+
+func TestQueueReleasesPoppedItems(t *testing.T) {
+	k := NewKernel(1)
+	q := NewQueue[*int](k)
+	for i := 0; i < 3; i++ {
+		v := i
+		q.Push(&v)
+	}
+	q.TryPop()
+	q.TryPop()
+	for i, p := range q.items.buf[:q.items.head] {
+		if p != nil {
+			t.Fatalf("popped slot %d still holds %d", i, *p)
+		}
+	}
+	q.TryPop()
+	if q.items.head != 0 || len(q.items.buf) != 0 || cap(q.items.buf) == 0 {
+		t.Fatalf("drained queue not rewound: head %d len %d cap %d",
+			q.items.head, len(q.items.buf), cap(q.items.buf))
+	}
+	// A drained queue reuses its array.
+	if allocs := testing.AllocsPerRun(100, func() {
+		q.Push(nil)
+		q.TryPop()
+	}); allocs != 0 {
+		t.Fatalf("push/pop on a drained queue allocated %.1f/op, want 0", allocs)
+	}
+}
+
+func TestQueueNeverDrainedStaysBounded(t *testing.T) {
+	k := NewKernel(1)
+	q := NewQueue[int](k)
+	q.Push(0)
+	for i := 1; i < 10000; i++ {
+		q.Push(i)
+		if v, _ := q.TryPop(); v != i-1 {
+			t.Fatalf("popped %d, want %d", v, i-1)
+		}
+	}
+	if c := cap(q.items.buf); c > 4 {
+		t.Fatalf("a queue holding 1-2 items grew to cap %d", c)
+	}
+}
