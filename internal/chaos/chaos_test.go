@@ -136,26 +136,38 @@ func TestChaosQuietControl(t *testing.T) {
 }
 
 // TestChaosDeterministicReplay: the same (seed, config) must produce the
-// same history and the same fault schedule, event for event — otherwise
-// a reported failing seed cannot be debugged.
+// same history, fault schedule and span trace, event for event — otherwise
+// a reported failing seed cannot be debugged. The txn config runs 4-shard
+// cross-shard multis, whose per-shard prepare legs must spawn in a fixed
+// order; the legs are symmetric in the history, so only the spans (shard,
+// id and timing of each vote leg) show a swapped spawn order.
 func TestChaosDeterministicReplay(t *testing.T) {
-	cfg := "batching"
-	if *flagQuick {
-		cfg = "plain"
-	}
-	a := Run(scenarioFor(7, cfg))
-	b := Run(scenarioFor(7, cfg))
-	if a.History.Len() != b.History.Len() {
-		t.Fatalf("replay diverged: %d events vs %d", a.History.Len(), b.History.Len())
-	}
-	for i := range a.History.Events {
-		if !reflect.DeepEqual(a.History.Events[i], b.History.Events[i]) {
-			t.Fatalf("replay diverged at event %d:\n  %+v\n  %+v",
-				i, a.History.Events[i], b.History.Events[i])
-		}
-	}
-	if !reflect.DeepEqual(a.FaultCounts, b.FaultCounts) {
-		t.Fatalf("fault schedules diverged: %v vs %v", a.FaultCounts, b.FaultCounts)
+	for _, cfg := range []string{"batching", "txn"} {
+		t.Run(cfg, func(t *testing.T) {
+			s := scenarioFor(7, cfg)
+			s.Telemetry = true
+			a, b := Run(s), Run(s)
+			if a.History.Len() != b.History.Len() {
+				t.Fatalf("replay diverged: %d events vs %d", a.History.Len(), b.History.Len())
+			}
+			for i := range a.History.Events {
+				if !reflect.DeepEqual(a.History.Events[i], b.History.Events[i]) {
+					t.Fatalf("replay diverged at event %d:\n  %+v\n  %+v",
+						i, a.History.Events[i], b.History.Events[i])
+				}
+			}
+			if !reflect.DeepEqual(a.FaultCounts, b.FaultCounts) || !reflect.DeepEqual(a.Schedule, b.Schedule) {
+				t.Fatalf("fault schedules diverged: %v vs %v", a.FaultCounts, b.FaultCounts)
+			}
+			if len(a.Spans) != len(b.Spans) {
+				t.Fatalf("span traces diverged: %d spans vs %d", len(a.Spans), len(b.Spans))
+			}
+			for i := range a.Spans {
+				if a.Spans[i] != b.Spans[i] {
+					t.Fatalf("span traces diverged at span %d:\n  %+v\n  %+v", i, a.Spans[i], b.Spans[i])
+				}
+			}
+		})
 	}
 }
 

@@ -147,11 +147,12 @@ func (m *Meter) Cost(category string) float64 { return m.dollars[category] }
 // Count returns the accumulated operation count for one category.
 func (m *Meter) Count(category string) int64 { return m.counts[category] }
 
-// Total returns the overall accumulated dollars.
+// Total returns the overall accumulated dollars, summed in sorted
+// category order so the float result does not depend on map order.
 func (m *Meter) Total() float64 {
 	var t float64
-	for _, d := range m.dollars {
-		t += d
+	for _, c := range m.Categories() {
+		t += m.dollars[c]
 	}
 	return t
 }

@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -29,6 +30,24 @@ func TestMeterAccumulates(t *testing.T) {
 	m.Reset()
 	if m.Total() != 0 {
 		t.Fatal("reset did not clear")
+	}
+}
+
+// TestMeterTotalDeterministic: Total must not depend on map iteration
+// order, or two reports from one run can disagree in the last float bit.
+func TestMeterTotalDeterministic(t *testing.T) {
+	m := NewMeter()
+	for i := 0; i < 10; i++ {
+		m.Charge(fmt.Sprintf("cat%d", i), 1e-7*float64(i+1)/3, 1)
+	}
+	var want float64
+	for _, c := range m.Categories() {
+		want += m.Cost(c)
+	}
+	for i := 0; i < 200; i++ {
+		if got := m.Total(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: Total() = %x, sorted sum = %x", i, math.Float64bits(got), math.Float64bits(want))
+		}
 	}
 }
 

@@ -41,6 +41,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sort"
 
 	"faaskeeper/internal/cloud"
@@ -178,13 +179,25 @@ func (p *multiPlan) unlock(d *Deployment, ctx cloud.Ctx) {
 	}
 }
 
+// shardGroup is the locked items one shard owns in a multi.
+type shardGroup struct {
+	shard int
+	items []*multiItem
+}
+
 // itemsByShard groups the locked items by owning shard for the parallel
-// intent/vote phase.
-func (p *multiPlan) itemsByShard() map[int][]*multiItem {
-	groups := map[int][]*multiItem{}
+// intent/vote phase, in first-touch order along p.order: the prepare
+// processes spawn in this order, so it must not depend on map order.
+func (p *multiPlan) itemsByShard() []shardGroup {
+	var groups []shardGroup
 	for _, path := range p.order {
 		it := p.items[path]
-		groups[it.shard] = append(groups[it.shard], it)
+		i := slices.IndexFunc(groups, func(g shardGroup) bool { return g.shard == it.shard })
+		if i < 0 {
+			i = len(groups)
+			groups = append(groups, shardGroup{shard: it.shard})
+		}
+		groups[i].items = append(groups[i].items, it)
 	}
 	return groups
 }
@@ -575,8 +588,8 @@ func (d *Deployment) planWentStale(ctx cloud.Ctx, plan *multiPlan) bool {
 		return false
 	}
 	cur := d.refreshMap(ctx)
-	for s := range plan.itemsByShard() {
-		if cur.GenOf(s) != plan.mv.GenOf(s) {
+	for _, g := range plan.itemsByShard() {
+		if cur.GenOf(g.shard) != plan.mv.GenOf(g.shard) {
 			return true
 		}
 	}
@@ -884,8 +897,8 @@ func (d *Deployment) multiTwoPhase(ctx cloud.Ctx, req Request, reqOps []txn.Op) 
 	// reach the same verdict.
 	groups := plan.itemsByShard()
 	wg := sim.NewWaitGroup(d.K)
-	for s, items := range groups {
-		s, items := s, items
+	for _, g := range groups {
+		s, items := g.shard, g.items
 		wg.Add(1)
 		d.K.Go("txn-prepare", func() {
 			defer wg.Done()

@@ -6,8 +6,6 @@ import (
 
 	"faaskeeper/internal/core"
 	"faaskeeper/internal/costmodel"
-	"faaskeeper/internal/fkclient"
-	"faaskeeper/internal/sim"
 	"faaskeeper/internal/stats"
 )
 
@@ -66,108 +64,77 @@ const (
 // trip them).
 func runBatchingWorkload(seed int64, cfg core.Config, wl batchingWorkload, sessions, ops int) batchingRun {
 	cfg.Telemetry = true
-	k := sim.NewKernel(seed)
-	d := core.NewDeployment(k, cfg)
 	res := batchingRun{writes: sessions * ops, lat: stats.NewSample(sessions * ops)}
-	var t0, t1 sim.Time
-	k.Go("driver", func() {
-		setup, err := fkclient.Connect(d, "setup", d.Cfg.Profile.Home)
-		if err != nil {
-			return
-		}
-		paths := make([]string, sessions)
-		switch wl {
-		case wlUniform:
-			spread := uniformPaths(sessions)
-			for i, p := range spread {
-				if _, err := setup.Create(p, nil, 0); err != nil {
-					return
+	paths := make([]string, sessions)
+	payload := bytes.Repeat([]byte("x"), batchingPayloadB)
+	viol := make([]int, sessions)
+	run := runScenario(seed, scenario{
+		cfg:      cfg,
+		sessions: sessionNames("s", sessions),
+		setup: func(r *scenarioRun) error {
+			switch wl {
+			case wlUniform:
+				copy(paths, uniformPaths(sessions))
+				return createAll(r.setup, paths, nil)
+			case wlHotNode:
+				hot := []string{"/hot"}
+				for n := 0; n < hotNodes; n++ {
+					hot = append(hot, fmt.Sprintf("/hot/n%d", n))
 				}
-				paths[i] = p
-			}
-		case wlHotNode:
-			if _, err := setup.Create("/hot", nil, 0); err != nil {
-				return
-			}
-			for n := 0; n < hotNodes; n++ {
-				if _, err := setup.Create(fmt.Sprintf("/hot/n%d", n), nil, 0); err != nil {
-					return
+				for i := range paths {
+					paths[i] = hot[1+i%hotNodes]
 				}
+				return createAll(r.setup, hot, nil)
+			default: // wlChurn
+				_, err := r.setup.Create("/app", nil, 0)
+				return err
 			}
-			for i := range paths {
-				paths[i] = fmt.Sprintf("/hot/n%d", i%hotNodes)
-			}
-		case wlChurn:
-			if _, err := setup.Create("/app", nil, 0); err != nil {
-				return
-			}
-		}
-		clients := make([]*fkclient.Client, sessions)
-		for i := range clients {
-			c, err := fkclient.Connect(d, fmt.Sprintf("s%d", i), d.Cfg.Profile.Home)
-			if err != nil {
-				return
-			}
-			clients[i] = c
-		}
-		d.ResetMetrics()
-		payload := bytes.Repeat([]byte("x"), batchingPayloadB)
-		viol := make([]int, sessions)
-		done := sim.NewWaitGroup(k)
-		t0 = k.Now()
-		for i := range clients {
-			i := i
-			done.Add(1)
-			k.Go(fmt.Sprintf("writer-%d", i), func() {
-				defer done.Done()
-				var lastMzxid int64
-				var lastVersion int32 = -1
-				for op := 0; op < ops; op++ {
-					ts := k.Now()
-					switch wl {
-					case wlChurn:
-						p := fmt.Sprintf("/app/c%d_%d", i, op)
-						if _, err := clients[i].Create(p, payload, 0); err != nil {
-							viol[i]++
-							continue
-						}
-						if err := clients[i].Delete(p, -1); err != nil {
-							viol[i]++
-						}
-					default:
-						st, err := clients[i].SetData(paths[i], payload, -1)
-						if err != nil {
-							viol[i]++
-							continue
-						}
-						// Each op must carry its own stamps: strictly newer
-						// than this session's previous write to the node.
-						if st.Mzxid <= lastMzxid || st.Version <= lastVersion {
-							viol[i]++
-						}
-						lastMzxid, lastVersion = st.Mzxid, st.Version
+		},
+		session: func(r *scenarioRun, i int) {
+			c := r.clients[i]
+			var lastMzxid int64
+			var lastVersion int32 = -1
+			for op := 0; op < ops; op++ {
+				ts := r.k.Now()
+				switch wl {
+				case wlChurn:
+					p := fmt.Sprintf("/app/c%d_%d", i, op)
+					if _, err := c.Create(p, payload, 0); err != nil {
+						viol[i]++
+						continue
 					}
-					res.lat.AddDur(k.Now() - ts)
+					if err := c.Delete(p, -1); err != nil {
+						viol[i]++
+					}
+				default:
+					st, err := c.SetData(paths[i], payload, -1)
+					if err != nil {
+						viol[i]++
+						continue
+					}
+					// Each op must carry its own stamps: strictly newer
+					// than this session's previous write to the node.
+					if st.Mzxid <= lastMzxid || st.Version <= lastVersion {
+						viol[i]++
+					}
+					lastMzxid, lastVersion = st.Mzxid, st.Version
 				}
-			})
-		}
-		done.Wait()
-		t1 = k.Now()
-		res.cost = d.Env.Meter.Total()
-		res.storeWrites = d.Env.Meter.Count("obj.write")
-		if s := d.Phase("leader.update"); s != nil {
-			res.leaderUpd = s.Mean() * float64(s.N())
-		}
-		for i, c := range clients {
-			res.viol += viol[i]
-			c.Close()
-		}
-		setup.Close()
-		res.ok = res.lat.N() == res.writes
+				res.lat.AddDur(r.k.Now() - ts)
+			}
+		},
+		collect: func(r *scenarioRun) {
+			res.cost = r.d.Env.Meter.Total()
+			res.storeWrites = r.d.Env.Meter.Count("obj.write")
+			if s := r.d.Phase("leader.update"); s != nil {
+				res.leaderUpd = s.Mean() * float64(s.N())
+			}
+		},
 	})
-	k.Run()
-	k.Shutdown()
-	res.elapsedSec = (t1 - t0).Seconds()
+	for _, v := range viol {
+		res.viol += v
+	}
+	res.elapsedSec = run.elapsed().Seconds()
+	res.ok = res.lat.N() == res.writes
 	return res
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"faaskeeper/internal/core"
 	"faaskeeper/internal/costmodel"
-	"faaskeeper/internal/fkclient"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/stats"
 	"faaskeeper/internal/ycsb"
@@ -54,101 +53,67 @@ func (r cachingRun) hitRatio() float64 {
 // Each reader checks Z3 inline: a node's observed mzxid must never regress
 // within the session.
 func runCachingWorkload(seed int64, cfg core.Config, readers, readsPer, nodeCount int) cachingRun {
-	k := sim.NewKernel(seed)
-	d := core.NewDeployment(k, cfg)
 	res := cachingRun{reads: readers * readsPer, lat: stats.NewSample(readers * readsPer)}
 	paths := make([]string, nodeCount)
 	for i := range paths {
 		paths[i] = fmt.Sprintf("/app/n%d", i)
 	}
-	var t0, t1 sim.Time
-	k.Go("driver", func() {
-		setup, err := fkclient.Connect(d, "setup", d.Cfg.Profile.Home)
-		if err != nil {
-			return
-		}
-		payload := bytes.Repeat([]byte("x"), cachingPayloadB)
-		if _, err := setup.Create("/app", nil, 0); err != nil {
-			return
-		}
-		for _, p := range paths {
-			if _, err := setup.Create(p, payload, 0); err != nil {
-				return
+	payload := bytes.Repeat([]byte("x"), cachingPayloadB)
+	viol := make([]int, readers)
+	run := runScenario(seed, scenario{
+		cfg:      cfg,
+		sessions: sessionNames("r", readers),
+		extra:    []string{"writer"},
+		setup: func(r *scenarioRun) error {
+			if _, err := r.setup.Create("/app", nil, 0); err != nil {
+				return err
 			}
-		}
-		clients := make([]*fkclient.Client, readers)
-		for i := range clients {
-			c, err := fkclient.Connect(d, fmt.Sprintf("r%d", i), d.Cfg.Profile.Home)
-			if err != nil {
-				return
-			}
-			clients[i] = c
-		}
-		writer, err := fkclient.Connect(d, "writer", d.Cfg.Profile.Home)
-		if err != nil {
-			return
-		}
-		d.ResetMetrics()
-		readersDone := sim.NewWaitGroup(k)
-		writerDone := sim.NewWaitGroup(k)
-		stopWriter := false
-		t0 = k.Now()
-		writerDone.Add(1)
-		k.Go("caching-writer", func() {
-			defer writerDone.Done()
+			return createAll(r.setup, paths, payload)
+		},
+		concurrent: func(r *scenarioRun) {
+			writer := r.clients[readers]
 			z := ycsb.NewZipfian(int64(nodeCount))
-			r := rand.New(rand.NewSource(seed*7717 + 13))
-			for !stopWriter {
-				if _, err := writer.SetData(paths[z.Next(r)], payload, -1); err != nil {
+			rng := rand.New(rand.NewSource(seed*7717 + 13))
+			for !r.sessionsDone {
+				if _, err := writer.SetData(paths[z.Next(rng)], payload, -1); err != nil {
 					return
 				}
-				k.Sleep(10 * sim.Ms(1))
+				r.k.Sleep(10 * sim.Ms(1))
 			}
-		})
-		viol := make([]int, readers)
-		for i := range clients {
-			i := i
-			readersDone.Add(1)
-			k.Go(fmt.Sprintf("caching-reader-%d", i), func() {
-				defer readersDone.Done()
-				z := ycsb.NewZipfian(int64(nodeCount))
-				r := rand.New(rand.NewSource(seed + int64(i)*919))
-				lastRead := map[string]int64{}
-				for op := 0; op < readsPer; op++ {
-					p := paths[z.Next(r)]
-					ts := k.Now()
-					_, st, err := clients[i].GetData(p)
-					if err != nil {
-						continue
-					}
-					res.lat.AddDur(k.Now() - ts)
-					if st.Mzxid < lastRead[p] {
-						viol[i]++
-					}
-					lastRead[p] = st.Mzxid
-					k.Sleep(sim.Time(r.Intn(4)) * sim.Ms(1))
+		},
+		session: func(r *scenarioRun, i int) {
+			z := ycsb.NewZipfian(int64(nodeCount))
+			rng := rand.New(rand.NewSource(seed + int64(i)*919))
+			lastRead := map[string]int64{}
+			for op := 0; op < readsPer; op++ {
+				p := paths[z.Next(rng)]
+				ts := r.k.Now()
+				_, st, err := r.clients[i].GetData(p)
+				if err != nil {
+					continue
 				}
-			})
-		}
-		readersDone.Wait()
-		t1 = k.Now()
-		stopWriter = true
-		writerDone.Wait()
-		for i, c := range clients {
-			h1, h2, mi := c.CacheStats()
-			res.l1Hits += h1
-			res.l2Hits += h2
-			res.misses += mi
-			res.z3Viol += viol[i]
-			c.Close()
-		}
-		writer.Close()
-		setup.Close()
-		res.ok = res.lat.N() == res.reads
+				res.lat.AddDur(r.k.Now() - ts)
+				if st.Mzxid < lastRead[p] {
+					viol[i]++
+				}
+				lastRead[p] = st.Mzxid
+				r.k.Sleep(sim.Time(rng.Intn(4)) * sim.Ms(1))
+			}
+		},
+		collect: func(r *scenarioRun) {
+			for _, c := range r.clients[:readers] {
+				h1, h2, mi := c.CacheStats()
+				res.l1Hits += h1
+				res.l2Hits += h2
+				res.misses += mi
+			}
+		},
 	})
-	k.Run()
-	k.Shutdown()
-	res.elapsed = (t1 - t0).Seconds()
+	for _, v := range viol {
+		res.z3Viol += v
+	}
+	res.elapsed = run.elapsed().Seconds()
+	res.ok = res.lat.N() == res.reads
 	return res
 }
 

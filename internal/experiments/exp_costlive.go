@@ -7,7 +7,6 @@ import (
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/core"
 	"faaskeeper/internal/costmodel"
-	"faaskeeper/internal/fkclient"
 	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/txn"
@@ -39,93 +38,76 @@ func (r costRun) perReq() float64 {
 
 func (r costRun) per1M() float64 { return r.perReq() * 1e6 }
 
-// runCostWorkload drives a mixed workload (each session alternates one
-// write — a cross-shard multi in "txn" mode — and one read) with cost
-// accounting on and returns the attributed dollars. The ledger is reset
-// after setup so the numbers cover only the measured requests; in
-// "reshard" mode a live /hot split lands mid-workload and its
-// control-plane spend shows up in the system bucket.
-func runCostWorkload(seed int64, cfg core.Config, mode string, sessions, ops int) costRun {
-	cfg.CostAccounting = true
-	k := sim.NewKernel(seed)
-	d := core.NewDeployment(k, cfg)
-	var res costRun
-	k.Go("driver", func() {
-		setup, err := fkclient.Connect(d, "setup", d.Cfg.Profile.Home)
-		if err != nil {
-			return
-		}
-		paths := uniformPaths(sessions)
-		if mode == "reshard" {
-			if _, err := setup.Create("/hot", nil, 0); err != nil {
-				return
+// writeMixScenario is the cost and telemetry workload: each session
+// writes its own node ops times — in "txn" mode a multi that also writes
+// its neighbour's node, on another shard — and with readBack reads it
+// back after each write. In "reshard" mode the nodes sit under /hot and
+// a live /hot split lands mid-workload. Every request that succeeds
+// bumps *reqs (a multi is one request).
+func writeMixScenario(cfg core.Config, mode string, sessions, ops int, readBack bool, reqs *int64) scenario {
+	paths := uniformPaths(sessions)
+	if mode == "reshard" {
+		paths = hotPaths(sessions)
+	}
+	payload := bytes.Repeat([]byte("x"), 128)
+	sc := scenario{
+		cfg:      cfg,
+		sessions: sessionNames("s", sessions),
+		setup: func(r *scenarioRun) error {
+			if mode == "reshard" {
+				if _, err := r.setup.Create("/hot", nil, 0); err != nil {
+					return err
+				}
 			}
-			paths = hotPaths(sessions)
-		}
-		for _, p := range paths {
-			if _, err := setup.Create(p, nil, 0); err != nil {
-				return
-			}
-		}
-		clients := make([]*fkclient.Client, sessions)
-		for i := range clients {
-			c, err := fkclient.Connect(d, fmt.Sprintf("s%d", i), d.Cfg.Profile.Home)
-			if err != nil {
-				return
-			}
-			clients[i] = c
-		}
-		d.ResetMetrics()
-		payload := bytes.Repeat([]byte("x"), 128)
-		var reqs int64
-		done := sim.NewWaitGroup(k)
-		for i := range clients {
-			i := i
-			done.Add(1)
-			k.Go(fmt.Sprintf("writer-%d", i), func() {
-				defer done.Done()
-				for op := 0; op < ops; op++ {
-					switch mode {
-					case "txn":
-						partner := paths[(i+1)%len(paths)]
-						if _, err := clients[i].Multi(
-							txn.SetData(paths[i], payload, -1),
-							txn.SetData(partner, payload, -1)); err == nil {
-							reqs++
-						}
-					default:
-						if _, err := clients[i].SetData(paths[i], payload, -1); err == nil {
-							reqs++
-						}
-					}
-					if _, _, err := clients[i].GetData(paths[i]); err == nil {
-						reqs++
+			return createAll(r.setup, paths, nil)
+		},
+		session: func(r *scenarioRun, i int) {
+			c := r.clients[i]
+			for op := 0; op < ops; op++ {
+				var err error
+				if mode == "txn" {
+					_, err = c.Multi(
+						txn.SetData(paths[i], payload, -1),
+						txn.SetData(paths[(i+1)%len(paths)], payload, -1))
+				} else {
+					_, err = c.SetData(paths[i], payload, -1)
+				}
+				if err == nil {
+					*reqs++
+				}
+				if readBack {
+					if _, _, err := c.GetData(paths[i]); err == nil {
+						*reqs++
 					}
 				}
-			})
+			}
+		},
+	}
+	if mode == "reshard" {
+		// Land the split while writers are in flight, so some requests
+		// are re-routed mid-pipeline.
+		sc.concurrent = func(r *scenarioRun) {
+			r.k.Sleep(5 * sim.Ms(1))
+			_ = r.d.SplitSubtree("/hot", 2)
 		}
-		if mode == "reshard" {
-			k.Go("splitter", func() {
-				k.Sleep(5 * sim.Ms(1))
-				_ = d.SplitSubtree("/hot", 2)
-			})
-		}
-		done.Wait()
-		for _, c := range clients {
-			c.Close()
-		}
-		setup.Close()
-		l := d.Obs.Cost
-		res = costRun{
-			reqs:      reqs,
-			usd:       l.TotalUSD(),
-			sysUSD:    obs.PdToUSD(l.SystemPd()),
-			conserved: l.AttributedPd() == l.TotalPd(),
-		}
-	})
-	k.Run()
-	k.Shutdown()
-	return res
+	}
+	return sc
+}
+
+// runCostWorkload runs the write+read mix with cost accounting on and
+// returns the attributed dollars. The ledger is reset after setup so the
+// numbers cover only the measured requests (and the sessions' closes);
+// a mid-run split's control-plane spend shows up in the system bucket.
+func runCostWorkload(seed int64, cfg core.Config, mode string, sessions, ops int) costRun {
+	cfg.CostAccounting = true
+	var reqs int64
+	l := runScenario(seed, writeMixScenario(cfg, mode, sessions, ops, true, &reqs)).d.Obs.Cost
+	return costRun{
+		reqs:      reqs,
+		usd:       l.TotalUSD(),
+		sysUSD:    obs.PdToUSD(l.SystemPd()),
+		conserved: l.AttributedPd() == l.TotalPd(),
+	}
 }
 
 // costConfigMatrix is the paper's headline comparison set: the

@@ -6,7 +6,6 @@ import (
 
 	"faaskeeper/internal/core"
 	"faaskeeper/internal/costmodel"
-	"faaskeeper/internal/fkclient"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/stats"
 )
@@ -45,103 +44,68 @@ type reshardOutcome struct {
 // runReshardWorkload drives sessions writers inside /hot on a dynamic
 // deployment. Phases partition each writer's ops; between phases the
 // supplied transition runs (nil = none). midSplit instead fires the
-// transition concurrently after midAfter acked writes in phase 0.
+// transition concurrently, half a second into the (single) phase.
 func runReshardWorkload(seed int64, shards, sessions, opsPerPhase, phases int,
 	transition func(d *core.Deployment) error, midSplit bool) reshardOutcome {
-	k := sim.NewKernel(seed)
-	d := core.NewDeployment(k, core.Config{WriteShards: shards, DynamicShards: true})
 	out := reshardOutcome{phases: make([]reshardPhase, phases)}
 	for i := range out.phases {
 		out.phases[i] = reshardPhase{writes: sessions * opsPerPhase, lat: stats.NewSample(sessions * opsPerPhase)}
 	}
-	paths := make([]string, sessions)
+	paths := hotPaths(sessions)
 	acked := make([]int, sessions)
-	k.Go("driver", func() {
-		setup, err := fkclient.Connect(d, "setup", d.Cfg.Profile.Home)
-		if err != nil {
-			return
-		}
-		if _, err := setup.Create("/hot", nil, 0); err != nil {
-			return
-		}
-		for i := range paths {
-			paths[i] = fmt.Sprintf("/hot/n%d", i)
-			if _, err := setup.Create(paths[i], nil, 0); err != nil {
+	lastMzxid := make([]int64, sessions)
+	payload := bytes.Repeat([]byte("x"), 128)
+	sc := scenario{
+		cfg:      core.Config{WriteShards: shards, DynamicShards: true},
+		sessions: sessionNames("s", sessions),
+		rounds:   phases,
+		setup: func(r *scenarioRun) error {
+			if _, err := r.setup.Create("/hot", nil, 0); err != nil {
+				return err
+			}
+			return createAll(r.setup, paths, nil)
+		},
+		session: func(r *scenarioRun, i int) {
+			for op := 0; op < opsPerPhase; op++ {
+				ts := r.k.Now()
+				st, err := r.clients[i].SetData(paths[i], payload, -1)
+				if err != nil {
+					out.writeErrs++
+					return
+				}
+				if st.Mzxid <= lastMzxid[i] {
+					out.violations++
+				}
+				lastMzxid[i] = st.Mzxid
+				acked[i]++
+				out.phases[r.round].lat.AddDur(r.k.Now() - ts)
+			}
+		},
+		collect: func(r *scenarioRun) {
+			// The phase lasts until the transition landing in it returns.
+			out.phases[r.round].elapsedSec = (r.k.Now() - r.t0).Seconds()
+			if r.round < phases-1 {
+				if !midSplit && transition != nil {
+					_ = transition(r.d)
+				}
 				return
 			}
-		}
-		clients := make([]*fkclient.Client, sessions)
-		for i := range clients {
-			c, err := fkclient.Connect(d, fmt.Sprintf("s%d", i), d.Cfg.Profile.Home)
-			if err != nil {
-				return
-			}
-			clients[i] = c
-		}
-		payload := bytes.Repeat([]byte("x"), 128)
-		lastMzxid := make([]int64, sessions)
-		runPhase := func(phase int, concurrent func()) {
-			done := sim.NewWaitGroup(k)
-			t0 := k.Now()
-			for i := range clients {
-				i := i
-				done.Add(1)
-				k.Go(fmt.Sprintf("writer-%d-%d", phase, i), func() {
-					defer done.Done()
-					for op := 0; op < opsPerPhase; op++ {
-						ts := k.Now()
-						st, err := clients[i].SetData(paths[i], payload, -1)
-						if err != nil {
-							out.writeErrs++
-							return
-						}
-						if st.Mzxid <= lastMzxid[i] {
-							out.violations++
-						}
-						lastMzxid[i] = st.Mzxid
-						acked[i]++
-						out.phases[phase].lat.AddDur(k.Now() - ts)
-					}
-				})
-			}
-			if concurrent != nil {
-				done.Add(1)
-				k.Go("resharder", func() {
-					defer done.Done()
-					concurrent()
-				})
-			}
-			done.Wait()
-			out.phases[phase].elapsedSec = (k.Now() - t0).Seconds()
-		}
-		for phase := 0; phase < phases; phase++ {
-			var concurrent func()
-			if midSplit && phase == 0 && transition != nil {
-				concurrent = func() {
-					// Land the transition in the middle of the window.
-					k.Sleep(500 * sim.Ms(1))
-					_ = transition(d)
+			// No lost acknowledged write: final versions count every ack.
+			for i, p := range paths {
+				_, st, err := r.setup.GetData(p)
+				if err != nil || int(st.Version) != acked[i] {
+					out.lost += acked[i] - int(st.Version)
 				}
 			}
-			runPhase(phase, concurrent)
-			if !midSplit && transition != nil && phase < phases-1 {
-				_ = transition(d)
-			}
+		},
+	}
+	if midSplit && transition != nil {
+		sc.concurrent = func(r *scenarioRun) {
+			r.k.Sleep(500 * sim.Ms(1))
+			_ = transition(r.d)
 		}
-		// No lost acknowledged write: final versions count every ack.
-		for i, p := range paths {
-			_, st, err := setup.GetData(p)
-			if err != nil || int(st.Version) != acked[i] {
-				out.lost += acked[i] - int(st.Version)
-			}
-		}
-		for _, c := range clients {
-			c.Close()
-		}
-		setup.Close()
-	})
-	k.Run()
-	k.Shutdown()
+	}
+	runScenario(seed, sc)
 	return out
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"faaskeeper/internal/core"
-	"faaskeeper/internal/fkclient"
-	"faaskeeper/internal/sim"
 	"faaskeeper/internal/stats"
 )
 
@@ -74,75 +72,45 @@ func hotPaths(sessions int) []string {
 // client-observed latency distribution plus aggregate throughput in
 // virtual time.
 func runShardingWorkload(seed int64, shards, sessions, ops int, hot bool) shardingRun {
-	k := sim.NewKernel(seed)
-	d := core.NewDeployment(k, core.Config{WriteShards: shards})
 	res := shardingRun{writes: sessions * ops, lat: stats.NewSample(sessions * ops)}
-	var paths []string
+	paths := uniformPaths(sessions)
 	if hot {
 		paths = hotPaths(sessions)
-	} else {
-		paths = uniformPaths(sessions)
 	}
-	var t0, t1 sim.Time
-	k.Go("driver", func() {
-		setup, err := fkclient.Connect(d, "setup", d.Cfg.Profile.Home)
-		if err != nil {
-			return
-		}
-		if hot {
-			if _, err := setup.Create("/hot", nil, 0); err != nil {
-				return
-			}
-		}
-		for _, p := range paths {
-			if _, err := setup.Create(p, nil, 0); err != nil {
-				return
-			}
-		}
-		// Warm the follower and leader sandboxes before measuring.
-		for i := 0; i < 3; i++ {
-			if _, err := setup.SetData(paths[0], []byte("warm"), -1); err != nil {
-				return
-			}
-		}
-		clients := make([]*fkclient.Client, sessions)
-		for i := range clients {
-			c, err := fkclient.Connect(d, fmt.Sprintf("s%d", i), d.Cfg.Profile.Home)
-			if err != nil {
-				return
-			}
-			clients[i] = c
-		}
-		d.ResetMetrics()
-		payload := bytes.Repeat([]byte("x"), 128)
-		done := sim.NewWaitGroup(k)
-		t0 = k.Now()
-		for i := range clients {
-			i := i
-			done.Add(1)
-			k.Go(fmt.Sprintf("writer-%d", i), func() {
-				defer done.Done()
-				for op := 0; op < ops; op++ {
-					ts := k.Now()
-					if _, err := clients[i].SetData(paths[i], payload, -1); err != nil {
-						return
-					}
-					res.lat.AddDur(k.Now() - ts)
+	payload := bytes.Repeat([]byte("x"), 128)
+	run := runScenario(seed, scenario{
+		cfg:      core.Config{WriteShards: shards},
+		sessions: sessionNames("s", sessions),
+		setup: func(r *scenarioRun) error {
+			if hot {
+				if _, err := r.setup.Create("/hot", nil, 0); err != nil {
+					return err
 				}
-			})
-		}
-		done.Wait()
-		t1 = k.Now()
-		res.cost = d.Env.Meter.Total()
-		for _, c := range clients {
-			c.Close()
-		}
-		setup.Close()
-		res.ok = res.lat.N() == res.writes
+			}
+			if err := createAll(r.setup, paths, nil); err != nil {
+				return err
+			}
+			// Warm the follower and leader sandboxes before measuring.
+			for i := 0; i < 3; i++ {
+				if _, err := r.setup.SetData(paths[0], []byte("warm"), -1); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		session: func(r *scenarioRun, i int) {
+			for op := 0; op < ops; op++ {
+				ts := r.k.Now()
+				if _, err := r.clients[i].SetData(paths[i], payload, -1); err != nil {
+					return
+				}
+				res.lat.AddDur(r.k.Now() - ts)
+			}
+		},
+		collect: func(r *scenarioRun) { res.cost = r.d.Env.Meter.Total() },
 	})
-	k.Run()
-	k.Shutdown()
-	res.elapsedSec = (t1 - t0).Seconds()
+	res.elapsedSec = run.elapsed().Seconds()
+	res.ok = res.lat.N() == res.writes
 	return res
 }
 

@@ -5,11 +5,9 @@ import (
 	"fmt"
 
 	"faaskeeper/internal/core"
-	"faaskeeper/internal/fkclient"
 	"faaskeeper/internal/obs"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/stats"
-	"faaskeeper/internal/txn"
 )
 
 func init() {
@@ -120,15 +118,12 @@ func analyzeSpans(tr *obs.Tracer, wantStages []string) telemetryRun {
 	return res
 }
 
-// runTelemetryWorkload drives sessions clients with telemetry on and
-// returns the span analysis. Modes: "plain" (sequential set_data),
-// "txn" (cross-shard multi per op), "reshard" (a live /hot split lands
-// mid-workload).
+// runTelemetryWorkload runs the write mix with telemetry on and returns
+// the span analysis of the measured requests. Modes: "plain" (sequential
+// set_data), "txn" (cross-shard multi per op), "reshard" (a live /hot
+// split lands mid-workload, so some traces carry follower.retry hops).
 func runTelemetryWorkload(seed int64, cfg core.Config, mode string, sessions, ops int) telemetryRun {
 	cfg.Telemetry = true
-	k := sim.NewKernel(seed)
-	d := core.NewDeployment(k, cfg)
-	var res telemetryRun
 	wantStages := []string{
 		obs.StageSubmit, obs.StageQueue, obs.StageValidate, obs.StageRespond,
 	}
@@ -141,74 +136,9 @@ func runTelemetryWorkload(seed int64, cfg core.Config, mode string, sessions, op
 		wantStages = append(wantStages,
 			obs.StageLeaderQ, obs.StageCommit, obs.StageFlush)
 	}
-	k.Go("driver", func() {
-		setup, err := fkclient.Connect(d, "setup", d.Cfg.Profile.Home)
-		if err != nil {
-			return
-		}
-		paths := uniformPaths(sessions)
-		if mode == "reshard" {
-			if _, err := setup.Create("/hot", nil, 0); err != nil {
-				return
-			}
-			paths = hotPaths(sessions)
-		}
-		for _, p := range paths {
-			if _, err := setup.Create(p, nil, 0); err != nil {
-				return
-			}
-		}
-		clients := make([]*fkclient.Client, sessions)
-		for i := range clients {
-			c, err := fkclient.Connect(d, fmt.Sprintf("s%d", i), d.Cfg.Profile.Home)
-			if err != nil {
-				return
-			}
-			clients[i] = c
-		}
-		// Discard the setup phase's spans so the tables only describe the
-		// measured workload.
-		d.ResetMetrics()
-		payload := bytes.Repeat([]byte("x"), 128)
-		done := sim.NewWaitGroup(k)
-		for i := range clients {
-			i := i
-			done.Add(1)
-			k.Go(fmt.Sprintf("writer-%d", i), func() {
-				defer done.Done()
-				for op := 0; op < ops; op++ {
-					switch mode {
-					case "txn":
-						// Adjacent uniform paths live on different shards,
-						// so every multi crosses shards and runs 2PC.
-						partner := paths[(i+1)%len(paths)]
-						_, _ = clients[i].Multi(
-							txn.SetData(paths[i], payload, -1),
-							txn.SetData(partner, payload, -1))
-					default:
-						_, _ = clients[i].SetData(paths[i], payload, -1)
-					}
-				}
-			})
-		}
-		if mode == "reshard" {
-			// Land the split while writers are in flight, so some traces
-			// carry follower.retry hops from re-routed messages.
-			k.Go("splitter", func() {
-				k.Sleep(5 * sim.Ms(1))
-				_ = d.SplitSubtree("/hot", 2)
-			})
-		}
-		done.Wait()
-		for _, c := range clients {
-			c.Close()
-		}
-		setup.Close()
-		res = analyzeSpans(d.Obs.Tracer, wantStages)
-	})
-	k.Run()
-	k.Shutdown()
-	return res
+	var reqs int64
+	run := runScenario(seed, writeMixScenario(cfg, mode, sessions, ops, false, &reqs))
+	return analyzeSpans(run.d.Obs.Tracer, wantStages)
 }
 
 // stageBreakdownRow renders one run as the shared per-stage columns.

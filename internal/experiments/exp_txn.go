@@ -6,7 +6,6 @@ import (
 	"faaskeeper/internal/cloud"
 	"faaskeeper/internal/core"
 	"faaskeeper/internal/costmodel"
-	"faaskeeper/internal/fkclient"
 	"faaskeeper/internal/sim"
 	"faaskeeper/internal/stats"
 	"faaskeeper/internal/txn"
@@ -62,66 +61,32 @@ func (r txnRun) throughput() float64 {
 // multis of spread sub-ops over its own per-shard path set (conflict-free:
 // the numbers isolate coordination cost, not lock contention).
 func runTxnLatency(seed int64, shards, spread, sessions, ops int) txnRun {
-	cfg := core.Config{WriteShards: shards, UserStore: core.StoreKV}
-	k := sim.NewKernel(seed)
-	d := core.NewDeployment(k, cfg)
 	res := txnRun{txns: sessions * ops, lat: stats.NewSample(sessions * ops)}
-	var t0, t1 sim.Time
-	k.Go("driver", func() {
-		setup, err := fkclient.Connect(d, "setup", d.Cfg.Profile.Home)
-		if err != nil {
-			return
-		}
-		paths := txnShardPaths(shards, sessions*spread)
-		for _, p := range paths {
-			if _, err := setup.Create(p, nil, 0); err != nil {
-				return
-			}
-		}
-		clients := make([]*fkclient.Client, sessions)
-		for i := range clients {
-			c, err := fkclient.Connect(d, fmt.Sprintf("s%d", i), d.Cfg.Profile.Home)
-			if err != nil {
-				return
-			}
-			clients[i] = c
-		}
-		d.ResetMetrics()
-		payload := make([]byte, txnPayloadB)
-		done := sim.NewWaitGroup(k)
-		t0 = k.Now()
-		for i := range clients {
-			i := i
+	paths := txnShardPaths(shards, sessions*spread)
+	payload := make([]byte, txnPayloadB)
+	run := runScenario(seed, scenario{
+		cfg:      core.Config{WriteShards: shards, UserStore: core.StoreKV},
+		sessions: sessionNames("s", sessions),
+		setup:    func(r *scenarioRun) error { return createAll(r.setup, paths, nil) },
+		session: func(r *scenarioRun, i int) {
 			mine := paths[i*spread : (i+1)*spread]
-			done.Add(1)
-			k.Go(fmt.Sprintf("txw%d", i), func() {
-				defer done.Done()
-				for op := 0; op < ops; op++ {
-					subs := make([]txn.Op, 0, spread)
-					for _, p := range mine {
-						subs = append(subs, txn.SetData(p, payload, int32(op)))
-					}
-					ts := k.Now()
-					if _, err := clients[i].Multi(subs...); err != nil {
-						res.aborts++
-						continue
-					}
-					res.lat.AddDur(k.Now() - ts)
+			for op := 0; op < ops; op++ {
+				subs := make([]txn.Op, 0, spread)
+				for _, p := range mine {
+					subs = append(subs, txn.SetData(p, payload, int32(op)))
 				}
-			})
-		}
-		done.Wait()
-		t1 = k.Now()
-		res.cost = d.Env.Meter.Total()
-		for _, c := range clients {
-			c.Close()
-		}
-		setup.Close()
-		res.ok = res.lat.N() == res.txns && res.aborts == 0
+				ts := r.k.Now()
+				if _, err := r.clients[i].Multi(subs...); err != nil {
+					res.aborts++
+					continue
+				}
+				res.lat.AddDur(r.k.Now() - ts)
+			}
+		},
+		collect: func(r *scenarioRun) { res.cost = r.d.Env.Meter.Total() },
 	})
-	k.Run()
-	k.Shutdown()
-	res.elapsed = (t1 - t0).Seconds()
+	res.elapsed = run.elapsed().Seconds()
+	res.ok = res.lat.N() == res.txns && res.aborts == 0
 	return res
 }
 
@@ -130,61 +95,41 @@ func runTxnLatency(seed int64, shards, spread, sessions, ops int) txnRun {
 // (or on intent contention) and the final version counts exactly the
 // winners — the all-or-nothing bookkeeping the abort-rate column reports.
 func runTxnContention(seed int64, shards, sessions, rounds int) (commits, aborts int, lost bool) {
-	cfg := core.Config{WriteShards: shards, UserStore: core.StoreKV}
-	k := sim.NewKernel(seed)
-	d := core.NewDeployment(k, cfg)
+	paths := txnShardPaths(shards, 2)
 	var finalA, finalB int32
-	k.Go("driver", func() {
-		setup, err := fkclient.Connect(d, "setup", d.Cfg.Profile.Home)
-		if err != nil {
-			return
-		}
-		paths := txnShardPaths(shards, 2)
-		for _, p := range paths {
-			if _, err := setup.Create(p, nil, 0); err != nil {
-				return
-			}
-		}
-		done := sim.NewWaitGroup(k)
-		for i := 0; i < sessions; i++ {
-			i := i
-			done.Add(1)
-			k.Go(fmt.Sprintf("c%d", i), func() {
-				defer done.Done()
-				c, err := fkclient.Connect(d, fmt.Sprintf("c%d", i), d.Cfg.Profile.Home)
+	runScenario(seed, scenario{
+		cfg:              core.Config{WriteShards: shards, UserStore: core.StoreKV},
+		sessions:         sessionNames("c", sessions),
+		connectInProcess: true,
+		setup:            func(r *scenarioRun) error { return createAll(r.setup, paths, nil) },
+		session: func(r *scenarioRun, i int) {
+			c := r.clients[i]
+			for round := 0; round < rounds; round++ {
+				_, st, err := c.GetData(paths[0])
 				if err != nil {
 					return
 				}
-				defer c.Close()
-				for r := 0; r < rounds; r++ {
-					_, st, err := c.GetData(paths[0])
-					if err != nil {
-						return
-					}
-					_, err = c.Multi(
-						txn.SetData(paths[0], []byte{byte(i)}, st.Version),
-						txn.SetData(paths[1], []byte{byte(i)}, st.Version),
-					)
-					if err == nil {
-						commits++
-					} else {
-						aborts++
-					}
-					k.Sleep(sim.Ms(3))
+				_, err = c.Multi(
+					txn.SetData(paths[0], []byte{byte(i)}, st.Version),
+					txn.SetData(paths[1], []byte{byte(i)}, st.Version),
+				)
+				if err == nil {
+					commits++
+				} else {
+					aborts++
 				}
-			})
-		}
-		done.Wait()
-		if _, st, err := setup.GetData(paths[0]); err == nil {
-			finalA = st.Version
-		}
-		if _, st, err := setup.GetData(paths[1]); err == nil {
-			finalB = st.Version
-		}
-		setup.Close()
+				r.k.Sleep(sim.Ms(3))
+			}
+		},
+		collect: func(r *scenarioRun) {
+			if _, st, err := r.setup.GetData(paths[0]); err == nil {
+				finalA = st.Version
+			}
+			if _, st, err := r.setup.GetData(paths[1]); err == nil {
+				finalB = st.Version
+			}
+		},
 	})
-	k.Run()
-	k.Shutdown()
 	// Atomicity check: both paths advanced exactly once per commit.
 	lost = int(finalA) != commits || int(finalB) != commits
 	return commits, aborts, lost
